@@ -1,17 +1,18 @@
 """Figures 2, 3, 4, 6, 7, 8: the race-condition scenarios, deterministic.
 
-Each figure runs under its exact interleaving twice -- the unleased
-baseline exhibits the race, the IQ framework prevents it -- and the
-resulting RDBMS/KVS values are printed as the figure-reproduction table.
+Each figure's stored schedule is replayed by the model checker twice --
+the unleased baseline exhibits the race, the IQ framework prevents it --
+and the resulting RDBMS/KVS values are printed as the
+figure-reproduction table.
 """
 
 from _common import emit, format_table
 
-from repro.sim import run_all_figures
+from repro.mc import run_figures
 
 
 def run_experiment():
-    outcomes = run_all_figures()
+    outcomes = run_figures()
     rows = [
         [
             o.figure,

@@ -84,12 +84,12 @@ def run_persistence_experiment(reads_after=10):
     under each technique, and count how many reads observed the stale
     value.
     """
-    from repro.sim.scripts import figure2_cas_insufficient
+    from repro.mc import run_figures
 
     # Refresh: the stale value persists for every subsequent read (the
     # cached 1050 vs the RDBMS's 1500), and even another refresh write
     # session R-M-Ws the *stale base*, keeping the divergence.
-    outcome = figure2_cas_insufficient(iq=False)
+    outcome = run_figures()[0]  # Figure 2, baseline-cas
     refresh_stale_reads = (
         reads_after if outcome.kvs_value != outcome.rdbms_value else 0
     )

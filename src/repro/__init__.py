@@ -17,8 +17,9 @@ The package implements, from scratch and in pure Python:
 * :mod:`repro.bg` -- the BG social-networking benchmark: graph generation,
   the nine interactive actions, workload mixes, validation of
   unpredictable (stale) reads, and SoAR rating.
-* :mod:`repro.sim` -- a deterministic step scheduler replaying the exact
-  interleavings of the paper's race-condition figures.
+* :mod:`repro.mc` -- a model checker that steps the shipped sessions
+  through every interleaving and replays the exact interleavings of the
+  paper's race-condition figures.
 * :mod:`repro.net` -- a memcached ASCII wire-protocol server and client
   with the IQ lease extensions.
 """

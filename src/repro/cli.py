@@ -167,10 +167,10 @@ def _serve_cluster(args):
 
 
 def _cmd_figures(_args):
-    from repro.sim import run_all_figures
+    from repro.mc import run_figures
 
     failures = 0
-    for outcome in run_all_figures():
+    for outcome in run_figures():
         status = "consistent" if outcome.consistent else "STALE"
         print("{:<10} {:<21} rdbms={!r:<8} kvs={!r:<8} {}".format(
             outcome.figure, outcome.variant, outcome.rdbms_value,

@@ -18,7 +18,8 @@ wrapper :class:`repro.net.resilient.ResilientIQServer`, or a
 from repro.config import BackoffConfig
 from repro.errors import QuarantinedError
 from repro.core.singleflight import FillOutcome, SingleFlight
-from repro.obs.trace import get_tracer, trace_context
+from repro.core.steps import Op, drive
+from repro.obs.trace import current_trace_id, get_tracer, trace_context
 from repro.util.backoff import ExponentialBackoff
 from repro.util.clock import SystemClock
 
@@ -128,86 +129,107 @@ class IQClient:
         ``compute`` may return ``None`` to indicate the object does not
         exist in the RDBMS; nothing is cached and ``None`` is returned.
         """
+        return self.run_read(self.read_steps(key, compute, session))
+
+    def run_read(self, steps):
+        """Drive a read session to completion.
+
+        Read sessions get their own trace unless one is already in
+        flight (a write session reading its own keys keeps its trace).
+        """
         tracer = self._tracer
-        if not tracer.active:
-            return self._read_through(key, compute, session, tracer)
-        # Read sessions get their own trace unless one is already in
-        # flight (a write session reading its own keys keeps its trace).
-        from repro.obs.trace import current_trace_id
+        if tracer.active and current_trace_id() is None:
+            with trace_context(tracer.new_trace()):
+                return drive(steps)
+        return drive(steps)
 
-        if current_trace_id() is not None:
-            return self._read_through(key, compute, session, tracer)
-        with trace_context(tracer.new_trace()):
-            return self._read_through(key, compute, session, tracer)
+    def read_steps(self, key, compute, session=None):
+        """The read session of :meth:`read_through`, as announced steps.
 
-    def _read_through(self, key, compute, session, tracer):
+        A back-off sleeps (live) or is a scheduling point (model
+        checker); with coalescing, a reader told to back off parks on a
+        co-located in-flight fill instead.
+        """
+        tracer = self._tracer
+        server = self.server
         delays = self.backoff.delays()
         coalesce = self.flights is not None and session is None
         while True:
-            result = self.server.iq_get(key, session=session)
+            yield Op("get", kvs=(key,))
+            result = server.iq_get(key, session=session)
             if result.is_hit:
                 if tracer.active:
                     tracer.emit("client.read", key=key, outcome="hit")
                 return result.value
             if result.has_lease:
                 if coalesce:
-                    return self._fill(key, compute, result.token, tracer)
+                    return (yield from self._fill_steps(
+                        key, compute, result.token, tracer))
+                yield Op("fill-query", sql=True)
                 value = compute()
-                if value is not None:
-                    applied = self.server.iq_set(key, value, result.token)
-                    if tracer.active:
-                        tracer.emit("client.read", key=key, outcome="fill",
-                                    applied=applied)
-                else:
-                    self._release_i(key, result.token)
+                if value is None:
+                    yield Op("release", kvs=(key,))
+                    server.release_i(key, result.token)
                     if tracer.active:
                         tracer.emit("client.read", key=key, outcome="empty")
+                    return None
+                yield Op("fill-set", kvs=(key,))
+                applied = server.iq_set(key, value, result.token)
+                if tracer.active:
+                    tracer.emit("client.read", key=key, outcome="fill",
+                                applied=applied)
                 return value
             if result.backoff:
                 if tracer.active:
                     tracer.emit("client.backoff", key=key)
                 delay = next(delays)
                 flight = self.flights.join(key) if coalesce else None
-                if flight is not None:
-                    # Waiting on the flight *is* the backoff sleep: the
-                    # event trips the moment the filler resolves.  While
-                    # the flight is live the co-located filler holds the
-                    # I lease, so a wire poll can only come back as
-                    # another back-off -- park here instead, drawing
-                    # each successive delay from the same policy so
-                    # StarvationError fires exactly as it would have.
-                    outcome = flight.wait(delay)
-                    while outcome is None and not flight.resolved:
-                        outcome = flight.wait(next(delays))
-                    if outcome is not None and outcome.applied:
-                        # Fence: the install redeemed a live I lease, so
-                        # no invalidation intervened after we joined.
-                        self.flights.note(True)
-                        if tracer.active:
-                            tracer.emit("client.read", key=key,
-                                        outcome="coalesced")
-                        return outcome.value
-                    self.flights.note(False)
+                if flight is None:
+                    self.clock.sleep(delay)
                     continue
-                self.clock.sleep(delay)
+                # Waiting on the flight *is* the backoff sleep: the
+                # event trips the moment the filler resolves.  While the
+                # flight is live the co-located filler holds the I
+                # lease, so a wire poll can only come back as another
+                # back-off -- park here instead, drawing each successive
+                # delay from the same policy so StarvationError fires
+                # exactly as it would have.
+                yield Op("flight-wait", kvs=(key,))
+                outcome = flight.wait(delay)
+                while outcome is None and not flight.resolved:
+                    yield Op("flight-wait", kvs=(key,))
+                    outcome = flight.wait(next(delays))
+                if outcome is not None and outcome.applied:
+                    # Fence: the install redeemed a live I lease, so no
+                    # invalidation intervened after we joined.
+                    self.flights.note(True)
+                    if tracer.active:
+                        tracer.emit("client.read", key=key,
+                                    outcome="coalesced")
+                    return outcome.value
+                self.flights.note(False)
                 continue
             # Miss with neither lease nor backoff: the caller is a write
             # session reading its own invalidated key -- compute directly.
             if tracer.active:
                 tracer.emit("client.read", key=key, outcome="own-miss")
+            yield Op("fill-query", sql=True)
             return compute()
 
-    def _fill(self, key, compute, token, tracer):
+    def _fill_steps(self, key, compute, token, tracer):
         """Compute and install as the elected filler, publishing the
         outcome to coalesced waiters under the fencing rule."""
+        yield Op("flight-begin", kvs=(key,))
         flight = self.flights.begin(key)
+        yield Op("fill-query", sql=True)
         try:
             value = compute()
         except BaseException:
             self.flights.abandon(key, flight)
             raise
         if value is None:
-            self._release_i(key, token)
+            yield Op("release", kvs=(key,))
+            self.server.release_i(key, token)
             self.flights.abandon(key, flight)
             if tracer.active:
                 tracer.emit("client.read", key=key, outcome="empty")
@@ -216,7 +238,9 @@ class IQClient:
         # so every waiter's read window opened while the fill was still
         # in flight (half of the fencing rule; the other half is the
         # applied check the waiters make).
+        yield Op("flight-close", kvs=(key,))
         self.flights.unregister(key, flight)
+        yield Op("fill-set", kvs=(key,))
         applied = False
         try:
             applied = self.server.iq_set(key, value, token)
@@ -226,10 +250,6 @@ class IQClient:
             tracer.emit("client.read", key=key, outcome="fill",
                         applied=applied)
         return value
-
-    def _release_i(self, key, token):
-        """Drop an I lease the client decided not to redeem."""
-        self.server.release_i(key, token)
 
     def iq_get(self, key, session=None):
         """Raw ``IQget`` passthrough with a session's read-your-own view.

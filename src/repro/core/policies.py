@@ -14,7 +14,7 @@ Three families are provided:
   ``IQDeltaClient``) follow the paper's Section 3/4 protocols and are
   strongly consistent;
 * **the precise-clock client** (:class:`ClockClient`) is the lease-free
-  fourth technique (``repro.clock``): cached values carry a validity
+  fourth technique (after Misra et al.): cached values carry a validity
   interval on the database's commit clock and self-invalidate on expiry,
   so reads inside a valid interval never touch the lease table and
   writes never contact the cache at all;
@@ -24,6 +24,12 @@ Three families are provided:
   the undesirable race conditions of Sections 3.1 and 4.1 -- they exist so
   the evaluation can reproduce the nonzero stale percentages of
   Tables 1 and 7.
+
+Every session is written once, as an announce-then-perform generator
+(``read_steps`` / ``write_steps``, see :mod:`repro.core.steps`):
+``read``/``write`` drive it to completion, and the model checker
+(:mod:`repro.mc`) steps the very same generator through every
+interleaving.
 """
 
 import enum
@@ -31,6 +37,7 @@ import threading
 
 from repro.config import BackoffConfig, ClockConfig
 from repro.core.session import AcquisitionMode, SessionOutcome, SessionRunner
+from repro.core.steps import Op, drive
 from repro.errors import (
     CacheUnavailableError,
     DegradedModeActive,
@@ -127,6 +134,9 @@ class _IQClientBase:
     :class:`~repro.errors.DegradedModeActive` instead.
     """
 
+    #: label of the announced shrinking-phase step (per technique)
+    _SHRINK = "shrink"
+
     def __init__(self, client, connection_factory, mode=AcquisitionMode.DURING,
                  backoff=None, clock=None, degraded_fallback=True,
                  batch_leases=True):
@@ -197,8 +207,12 @@ class _IQClientBase:
         Falls back to ``compute()`` (the SQL engine) when the cache is
         unreachable -- always correct, merely slower.
         """
+        return self.client.run_read(self.read_steps(key, compute))
+
+    def read_steps(self, key, compute):
+        """:meth:`read` as announced steps."""
         try:
-            return self.client.read_through(key, compute)
+            return (yield from self.client.read_steps(key, compute))
         except CacheUnavailableError as exc:
             if not self.degraded_fallback:
                 raise DegradedModeActive(
@@ -207,16 +221,62 @@ class _IQClientBase:
             self._degraded_reads.inc()
             if self._tracer.active:
                 self._tracer.emit("client.degraded.read", key=key)
+            yield Op("db-read", sql=True)
             return compute()
 
     def write(self, sql_body, changes):
         """Write session with SQL-only fallback when the cache is away."""
-        try:
-            return self._write_sessions(sql_body, changes)
-        except CacheUnavailableError as exc:
-            return self._write_degraded(sql_body, changes, exc)
+        return drive(self.write_steps(sql_body, changes))
 
-    def _write_sessions(self, sql_body, changes):
+    def write_steps(self, sql_body, changes):
+        """:meth:`write` as announced steps: the retrying 2PL session.
+
+        Each attempt runs the growing phase (:meth:`_grow`, the
+        technique's Q leases) before or inside the RDBMS transaction per
+        :attr:`mode`, commits, journals any growing-phase casualties,
+        and then runs the shrinking phase (:meth:`_shrink`).
+        """
+        keys = [change.key for change in changes]
+        try:
+            return (yield from self.runner.steps(
+                lambda session: self._attempt(session, sql_body, changes),
+                keys,
+            ))
+        except CacheUnavailableError as exc:
+            return (yield from self._write_degraded(sql_body, changes, exc))
+
+    def _attempt(self, session, sql_body, changes):
+        degraded = []
+        if self.mode is AcquisitionMode.PRIOR:
+            grown = yield from self._grow(session, changes, degraded)
+        yield Op("sql-update", sql=True)
+        session.begin_sql()
+        result = sql_body(session)
+        if self.mode is not AcquisitionMode.PRIOR:
+            grown = yield from self._grow(session, changes, degraded)
+        yield Op("sql-commit", sql=True)
+        session.commit_sql()
+        if degraded:
+            # Journal growing-phase casualties only now that the SQL
+            # committed: before the commit their cached values were
+            # still correct (see :meth:`_guard_key`); an aborted attempt
+            # simply discards ``degraded``.
+            yield Op("journal", kvs=[change.key for change in degraded])
+            self._journal(degraded)
+        yield Op(self._SHRINK, kvs=[change.key for change in changes])
+        try:
+            self._shrink(session, changes, grown)
+        except CacheUnavailableError:
+            self._detach_after_commit(session, changes)
+        return result
+
+    def _grow(self, session, changes, degraded):
+        """The growing phase (a step generator); returns what
+        :meth:`_shrink` needs."""
+        raise NotImplementedError
+
+    def _shrink(self, session, changes, grown):
+        """The shrinking phase: apply the KVS changes, release leases."""
         raise NotImplementedError
 
     # -- degraded-mode plumbing ----------------------------------------------
@@ -247,10 +307,10 @@ class _IQClientBase:
         :class:`~repro.errors.CacheUnavailableError` the key is skipped
         and the rest of the session keeps using the cache.  Growing-phase
         callers pass ``pending``: the change is queued there and journaled
-        only after ``commit_sql`` (see :meth:`_journal_pending`).
-        Journaling it at failure time would be unsafe -- if the shard
-        recovers mid-session, a delete-on-recover pass consumes the entry
-        and deletes the key *before* the commit, after which a concurrent
+        only after ``commit_sql`` (see :meth:`_attempt`).  Journaling it
+        at failure time would be unsafe -- if the shard recovers
+        mid-session, a delete-on-recover pass consumes the entry and
+        deletes the key *before* the commit, after which a concurrent
         reader re-caches the pre-transaction value from SQL and no
         invalidation ever arrives to displace it.  Post-commit callers
         omit ``pending`` and the key is journaled immediately.  Lease
@@ -272,14 +332,11 @@ class _IQClientBase:
                 self._tracer.emit("client.degraded.key", key=change.key)
             return False
 
-    def _journal_pending(self, pending):
-        """Journal growing-phase casualties, now that the SQL committed.
-
-        Before the commit their cached values were still correct, so the
-        journal entries must not exist yet; a session that aborts simply
-        discards ``pending``."""
-        if pending:
-            self._journal(pending)
+    def _qar(self, session, change, degraded):
+        """One invalidation Q lease, degrading only its key's shard."""
+        key = change.key
+        yield Op("qar:{}".format(key), kvs=(key,))
+        self._guard_key(change, lambda: session.qar(key), pending=degraded)
 
     def _batch_acquire(self, session, changes, pending):
         """Acquire the invalidation Q leases for ``changes`` in one batch.
@@ -297,9 +354,11 @@ class _IQClientBase:
         """
         if not self.batch_leases or len(changes) < 2:
             return False
-        by_key = {change.key: change for change in changes}
+        keys = [change.key for change in changes]
+        by_key = dict(zip(keys, changes))
+        yield Op("qareg", kvs=keys)
         try:
-            results = session.qareg([change.key for change in changes])
+            results = session.qareg(keys)
         except CacheUnavailableError:
             # The whole backend is away (e.g. nothing could even route);
             # fall back so each key gets its individual degradation.
@@ -327,17 +386,8 @@ class _IQClientBase:
             raise DegradedModeActive(
                 "write with cache unavailable: {}".format(cause)
             ) from cause
-        connection = self.connection_factory()
-        try:
-            connection.begin()
-            result = sql_body(_BaselineSession(connection))
-            connection.commit()
-        except Exception:
-            if connection.in_transaction:
-                connection.rollback()
-            raise
-        finally:
-            connection.close()
+        result = yield from transaction_steps(self.connection_factory,
+                                              sql_body)
         # Journal *after* the commit: a concurrent reconciliation that
         # deleted the keys pre-commit could let a reader re-cache the
         # pre-transaction value and leave it stale.
@@ -357,36 +407,15 @@ class IQInvalidateClient(_IQClientBase):
     per shard), falling back to per-key ``QaR`` otherwise.
     """
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            degraded = []
+    _SHRINK = "dar"
 
-            def acquire():
-                if self._batch_acquire(session, changes, degraded):
-                    return
-                for change in changes:
-                    self._guard_key(
-                        change, lambda c=change: session.qar(c.key),
-                        pending=degraded,
-                    )
+    def _grow(self, session, changes, degraded):
+        if not (yield from self._batch_acquire(session, changes, degraded)):
+            for change in changes:
+                yield from self._qar(session, change, degraded)
 
-            if self.mode == AcquisitionMode.PRIOR:
-                acquire()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                acquire()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                session.dar()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def _shrink(self, session, changes, grown):
+        session.dar()
 
 
 class IQRefreshClient(_IQClientBase):
@@ -395,78 +424,60 @@ class IQRefreshClient(_IQClientBase):
     Keys flagged ``invalidate`` (or lacking a refresher -- there is
     nothing to read-modify-write for a fresh insert or a delete) are
     quarantined with ``QaR`` and deleted at commit, the paper's
-    simultaneous refresh+invalidate usage.
+    simultaneous refresh+invalidate usage.  A refresher that returns
+    ``None`` (e.g. for a key that was not cached) releases the key's
+    lease at SaR without installing anything.
     """
+
+    _SHRINK = "sar"
 
     @staticmethod
     def _is_invalidation(change):
         return change.invalidate or change.refresher is None
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            new_values = {}
-            degraded = []
+    def _grow(self, session, changes, degraded):
+        new_values = {}
+        # The invalidation subset shares one batched qareg (the
+        # exclusive qaread legs stay per-key: each needs its old value
+        # back before the refresher can run).
+        invalidations = [
+            change for change in changes if self._is_invalidation(change)
+        ]
+        batched = yield from self._batch_acquire(session, invalidations,
+                                                 degraded)
+        for change in changes:
+            if self._is_invalidation(change):
+                if not batched:
+                    yield from self._qar(session, change, degraded)
+                continue
 
-            def acquire_and_compute():
-                # The invalidation subset shares one batched qareg (the
-                # exclusive qaread legs stay per-key: each needs its old
-                # value back before the refresher can run).
-                invalidations = [
-                    change for change in changes
-                    if self._is_invalidation(change)
-                ]
-                batched = self._batch_acquire(session, invalidations,
-                                              degraded)
-                for change in changes:
-                    if self._is_invalidation(change):
-                        if not batched:
-                            self._guard_key(
-                                change,
-                                lambda c=change: session.qar(c.key),
-                                pending=degraded,
-                            )
-                        continue
+            def read_modify(c=change):
+                old = session.qaread(c.key).value
+                new_values[c.key] = c.refresher(old)
 
-                    def read_modify(c=change):
-                        old = session.qaread(c.key).value
-                        new_values[c.key] = c.refresher(old)
+            yield Op("qaread", kvs=(change.key,))
+            self._guard_key(change, read_modify, pending=degraded)
+        return new_values
 
-                    self._guard_key(change, read_modify, pending=degraded)
-
-            if self.mode == AcquisitionMode.PRIOR:
-                acquire_and_compute()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                acquire_and_compute()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                for change in changes:
-                    # A key whose shard degraded during the growing phase
-                    # has no lease and no computed value: skip its SaR.
-                    if self._is_invalidation(change):
-                        continue
-                    if change.key not in new_values:
-                        continue
-                    self._guard_key(
-                        change,
-                        lambda c=change: session.sar(c.key, new_values[c.key]),
-                    )
-                # Applies registered invalidations and releases any leases
-                # still held (a no-op when every key went through SaR).
-                session.commit_kvs()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def _shrink(self, session, changes, new_values):
+        for change in changes:
+            # A key whose shard degraded during the growing phase has no
+            # lease and no computed value: skip its SaR.
+            if self._is_invalidation(change) or change.key not in new_values:
+                continue
+            self._guard_key(
+                change,
+                lambda c=change: session.sar(c.key, new_values[c.key]),
+            )
+        # Applies registered invalidations and releases any leases still
+        # held (a no-op when every key went through SaR).
+        session.commit_kvs()
 
 
 class IQDeltaClient(_IQClientBase):
     """Section 4.2.1: IQ-delta before commit, Commit(TID) after."""
+
+    _SHRINK = "commit"
 
     def _poison_shard(self, session, key):
         """A key's multi-delta proposal failed partway: the owning shard
@@ -481,57 +492,31 @@ class IQDeltaClient(_IQClientBase):
         if poison is not None:
             poison(session.tid, key)
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            degraded = []
+    def _grow(self, session, changes, degraded):
+        invalidations = [change for change in changes if change.invalidate]
+        batched = yield from self._batch_acquire(session, invalidations,
+                                                 degraded)
+        for change in changes:
+            if change.invalidate:
+                if not batched:
+                    yield from self._qar(session, change, degraded)
+                continue
 
-            def propose():
-                invalidations = [
-                    change for change in changes if change.invalidate
-                ]
-                batched = self._batch_acquire(session, invalidations,
-                                              degraded)
-                for change in changes:
-                    if change.invalidate:
-                        if not batched:
-                            self._guard_key(
-                                change,
-                                lambda c=change: session.qar(c.key),
-                                pending=degraded,
-                            )
-                        continue
+            def propose_deltas(c=change):
+                for op, operand in c.deltas:
+                    session.delta(c.key, op, operand)
 
-                    def propose_deltas(c=change):
-                        for op, operand in c.deltas:
-                            session.delta(c.key, op, operand)
+            # All of a key's deltas land on one shard.
+            yield Op("delta:{}".format(change.key), kvs=(change.key,))
+            if not self._guard_key(change, propose_deltas, pending=degraded):
+                self._poison_shard(session, change.key)
 
-                    # All of a key's deltas land on one shard.
-                    if not self._guard_key(
-                        change, propose_deltas, pending=degraded
-                    ):
-                        self._poison_shard(session, change.key)
-
-            if self.mode == AcquisitionMode.PRIOR:
-                propose()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                propose()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                session.commit_kvs()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def _shrink(self, session, changes, grown):
+        session.commit_kvs()
 
 
 # ---------------------------------------------------------------------------
-# Precise-clock client (lease-free, repro.clock)
+# Precise-clock client (lease-free, repro.sql.clock)
 # ---------------------------------------------------------------------------
 
 class ClockClient:
@@ -658,6 +643,11 @@ class ClockClient:
 
     def read(self, key, compute):
         """Promise, local interval check, then ``cget``/compute."""
+        return drive(self.read_steps(key, compute))
+
+    def read_steps(self, key, compute):
+        """:meth:`read` as announced steps."""
+        yield Op("promise", sql=True)
         start, until = self.commit_clock.promise(key)
         entry = self._local_get(key, start)
         if entry is not None:
@@ -681,8 +671,10 @@ class ClockClient:
                 # clock reads have their own fill path to fall back to.
                 delays = self.backoff.delays()
                 try:
+                    yield Op("flight-wait", kvs=(key,))
                     outcome = flight.wait(next(delays))
                     while outcome is None and not flight.resolved:
+                        yield Op("flight-wait", kvs=(key,))
                         outcome = flight.wait(next(delays))
                 except StarvationError:
                     outcome = None
@@ -701,15 +693,16 @@ class ClockClient:
                                     outcome.valid_from, outcome.valid_until)
                     return outcome.value
                 self.flights.note(False)
-        return self._read_fill(key, compute, start, until)
+        return (yield from self._fill_steps(key, compute, start, until))
 
-    def _read_fill(self, key, compute, start, until):
+    def _fill_steps(self, key, compute, start, until):
         """The ``cget``/compute miss path, published as a flight so
         co-located readers coalesce onto this fill."""
         flight = (self.flights.begin(key)
                   if self.flights is not None else None)
         try:
             extend = until if self.config.dynamic_extension else None
+            yield Op("cget", kvs=(key,))
             try:
                 result = self.server.cget(key, start, extend=extend)
             except CacheUnavailableError as exc:
@@ -721,6 +714,7 @@ class ClockClient:
                 self._degraded_reads.inc()
                 if self._tracer.active:
                     self._tracer.emit("client.degraded.read", key=key)
+                yield Op("db-read", sql=True)
                 value = compute()
                 if value is not None:
                     # The promise -- not the server -- is what makes the
@@ -738,6 +732,7 @@ class ClockClient:
                 flight = self._publish(key, flight, result.value,
                                        result.valid_from, result.valid_until)
                 return result.value
+            yield Op("fill-query", sql=True)
             value = compute()
             self._interval_misses.inc()
             if value is not None:
@@ -746,6 +741,7 @@ class ClockClient:
                 # which is also why the flight resolves *before* cset.
                 self._local_put(key, value, start, until)
                 flight = self._publish(key, flight, value, start, until)
+                yield Op("cset", kvs=(key,))
                 try:
                     self.server.cset(key, value, start, until)
                 except CacheUnavailableError:
@@ -772,24 +768,22 @@ class ClockClient:
 
     def write(self, sql_body, changes):
         """RDBMS transaction + clock-jumping commit; zero cache I/O."""
+        return drive(self.write_steps(sql_body, changes))
+
+    def write_steps(self, sql_body, changes):
+        """:meth:`write` as announced steps: SQL only, retried on
+        first-updater-wins conflicts."""
         keys = [change.key for change in changes]
         restarts = 0
         delays = self.backoff.delays()
         while True:
-            connection = self.connection_factory()
             try:
-                connection.begin()
-                result = sql_body(_BaselineSession(connection))
-                connection.commit(clock_keys=keys)
-                self._clock_commits.inc()
-                if self._tracer.active:
-                    self._tracer.emit("clock.commit", keys=len(keys),
-                                      restarts=restarts)
-                return SessionOutcome(result, restarts)
+                result = yield from transaction_steps(
+                    self.connection_factory, sql_body, clock_keys=keys)
             except TransactionAbortedError:
-                # First-updater-wins conflict; the engine already aborted
-                # the transaction.  Back off and restart, exactly like
-                # the IQ session runner -- but with no leases to release.
+                # The engine already aborted the transaction.  Back off
+                # and restart, exactly like the IQ session runner -- but
+                # with no leases to release.
                 restarts += 1
                 if self._tracer.active:
                     self._tracer.emit("session.restart", restarts=restarts)
@@ -798,17 +792,45 @@ class ClockClient:
                 except StarvationError:
                     raise StarvationError(restarts)
                 self.clock.sleep(delay)
-            except Exception:
-                if connection.in_transaction:
-                    connection.rollback()
-                raise
-            finally:
-                connection.close()
+                continue
+            self._clock_commits.inc()
+            if self._tracer.active:
+                self._tracer.emit("clock.commit", keys=len(keys),
+                                  restarts=restarts)
+            return SessionOutcome(result, restarts)
 
 
 # ---------------------------------------------------------------------------
 # Unleased baseline clients (raceful by design)
 # ---------------------------------------------------------------------------
+
+def transaction_steps(connection_factory, sql_body, trigger=None,
+                      clock_keys=None):
+    """One RDBMS transaction outside any lease session, as steps.
+
+    ``trigger`` -- a step generator -- is the cache side of a trigger
+    fired by the transaction's DML: it runs before ``sql_body``, so its
+    effects land while the whole transaction is still to commit.
+    ``clock_keys`` is passed to the commit (precise-clock writes).
+    """
+    connection = connection_factory()
+    try:
+        if trigger is not None:
+            yield from trigger()
+        yield Op("sql-update", sql=True)
+        connection.begin()
+        result = sql_body(_BaselineSession(connection))
+        yield Op("sql-commit", sql=True)
+        connection.commit(clock_keys=clock_keys)
+        return result
+    except Exception:
+        if connection.in_transaction:
+            yield Op("rollback", sql=True)
+            connection.rollback()
+        raise
+    finally:
+        connection.close()
+
 
 class _BaselineBase:
     """Shared read path: Facebook read leases over Twemcache.
@@ -830,40 +852,35 @@ class _BaselineBase:
         return False
 
     def read(self, key, compute):
+        return drive(self.read_steps(key, compute))
+
+    def read_steps(self, key, compute):
+        """:meth:`read` as announced steps."""
         delays = self.backoff.delays()
         while True:
+            yield Op("get", kvs=(key,))
             result = self.store.lease_get(key)
             if result.is_hit:
                 return result.value
             if result.has_lease:
+                yield Op("fill-query", sql=True)
                 value = compute()
                 if value is not None:
+                    yield Op("fill-set", kvs=(key,))
                     self.store.lease_set(key, value, result.token)
                 return value
             self.clock.sleep(next(delays))
 
-    def _run_sql(self, sql_body, before_body=None, before_commit=None):
-        """Run the RDBMS transaction of a baseline write session."""
-        connection = self.connection_factory()
-        try:
-            connection.begin()
-            if before_body is not None:
-                before_body()
-            result = sql_body(_BaselineSession(connection))
-            if before_commit is not None:
-                before_commit()
-            connection.commit()
-            return result
-        except Exception:
-            if connection.in_transaction:
-                connection.rollback()
-            raise
-        finally:
-            connection.close()
+    def write(self, sql_body, changes):
+        return drive(self.write_steps(sql_body, changes))
+
+    def _sql_steps(self, sql_body, trigger=None):
+        return transaction_steps(self.connection_factory, sql_body,
+                                 trigger=trigger)
 
 
 class _BaselineSession:
-    """Minimal session facade handed to ``sql_body`` for baselines."""
+    """Minimal session facade handed to ``sql_body`` outside IQ sessions."""
 
     __slots__ = ("sql",)
 
@@ -898,19 +915,20 @@ class BaselineInvalidateClient(_BaselineBase):
         super().__init__(store, connection_factory, **kwargs)
         self.timing = timing
 
-    def write(self, sql_body, changes):
+    def write_steps(self, sql_body, changes):
         def delete_all():
             for change in changes:
+                yield Op("delete:{}".format(change.key), kvs=(change.key,))
                 self.store.delete(change.key)
 
         if self.timing == DeleteTiming.DURING_TRANSACTION:
             # The trigger fires as part of the DML, so the deletes land
             # while the rest of the transaction (and the commit round
             # trip) is still in flight -- the Figure 3 window.
-            result = self._run_sql(sql_body, before_body=delete_all)
+            result = yield from self._sql_steps(sql_body, trigger=delete_all)
         else:
-            result = self._run_sql(sql_body)
-            delete_all()
+            result = yield from self._sql_steps(sql_body)
+            yield from delete_all()
         return SessionOutcome(result, restarts=0)
 
 
@@ -926,23 +944,28 @@ class BaselineRefreshClient(_BaselineBase):
         super().__init__(store, connection_factory, **kwargs)
         self.cas_retries = cas_retries
 
-    def write(self, sql_body, changes):
+    def write_steps(self, sql_body, changes):
         from repro.kvs.store import StoreResult
 
-        result = self._run_sql(sql_body)
+        result = yield from self._sql_steps(sql_body)
         for change in changes:
+            key = change.key
             if change.invalidate or change.refresher is None:
-                self.store.delete(change.key)
+                yield Op("delete:{}".format(key), kvs=(key,))
+                self.store.delete(key)
                 continue
             for _attempt in range(self.cas_retries):
-                got = self.store.gets(change.key)
+                yield Op("kvs-read", kvs=(key,))
+                got = self.store.gets(key)
                 if got is None:
                     break  # nothing cached; next reader recomputes
                 value, _flags, cas_id = got
                 new_value = change.refresher(value)
                 if new_value is None:
                     break
-                if self.store.cas(change.key, new_value, cas_id) == StoreResult.STORED:
+                yield Op("kvs-cas", kvs=(key,))
+                stored = self.store.cas(key, new_value, cas_id)
+                if stored == StoreResult.STORED:
                     break
         return SessionOutcome(result, restarts=0)
 
@@ -954,19 +977,13 @@ class BaselineDeltaClient(_BaselineBase):
     key from a stale snapshot (Figures 7 and 8: lost or doubled deltas).
     """
 
-    def write(self, sql_body, changes):
-        result = self._run_sql(sql_body)
+    def write_steps(self, sql_body, changes):
+        result = yield from self._sql_steps(sql_body)
         for change in changes:
+            yield Op("kvs-delta", kvs=(change.key,))
             if change.invalidate:
                 self.store.delete(change.key)
                 continue
             for op, operand in change.deltas:
-                if op == "append":
-                    self.store.append(change.key, operand)
-                elif op == "prepend":
-                    self.store.prepend(change.key, operand)
-                elif op == "incr":
-                    self.store.incr(change.key, operand)
-                elif op == "decr":
-                    self.store.decr(change.key, operand)
+                getattr(self.store, op)(change.key, operand)
         return SessionOutcome(result, restarts=0)

@@ -22,10 +22,10 @@ rollback, backoff, and restart accounting (the Table 6 metric).
 import enum
 
 from repro.config import BackoffConfig
+from repro.core.steps import Op, drive
 from repro.errors import (
     CacheUnavailableError,
     QuarantinedError,
-    SessionAbortedError,
     StarvationError,
     TransactionAbortedError,
 )
@@ -200,14 +200,18 @@ class SessionOutcome:
 
 
 class SessionRunner:
-    """Run write-session bodies with abort/retry semantics.
+    """Run write-session attempts with abort/retry semantics.
 
-    ``body(session)`` implements one attempt of the session; raising
-    :class:`QuarantinedError` (Q lease conflict) or
-    :class:`TransactionAbortedError` (RDBMS write-write conflict) triggers
-    full cleanup -- release leases, roll back the transaction -- a backoff
-    delay, and a restart with a fresh TID, per Section 4.2.  The restart
-    count is the metric reported in Table 6.
+    One attempt binds a fresh TID to a fresh RDBMS connection (a
+    :class:`WriteSession`); raising :class:`QuarantinedError` (Q lease
+    conflict) or :class:`TransactionAbortedError` (RDBMS write-write
+    conflict) triggers full cleanup -- release leases, roll back the
+    transaction -- a backoff delay, and a restart with a fresh TID, per
+    Section 4.2.  The restart count is the metric reported in Table 6.
+
+    :meth:`steps` is the retry loop as announce-then-perform steps (see
+    :mod:`repro.core.steps`); :meth:`run` drives it for a plain callable
+    body.
     """
 
     RETRIABLE = (QuarantinedError, TransactionAbortedError)
@@ -219,17 +223,28 @@ class SessionRunner:
         self.clock = clock or SystemClock()
 
     def run(self, body):
-        """Execute ``body`` until it succeeds; returns a SessionOutcome."""
+        """Execute ``body(session)`` until it succeeds; a SessionOutcome."""
+        return drive(self.steps(lambda session: _unannounced(body, session)))
+
+    def steps(self, attempt, keys=()):
+        """Retry ``attempt(session)`` -- a step generator -- to success.
+
+        ``keys`` is the footprint announced for the cleanup step of a
+        failed attempt (its leases and its transaction).
+        """
         restarts = 0
         delays = self.backoff.delays()
         while True:
             connection = self.connection_factory()
             session = WriteSession(self.client, connection)
             try:
-                result = body(session)
+                result = yield from attempt(session)
                 return SessionOutcome(result, restarts)
-            except self.RETRIABLE:
+            except Exception as exc:
+                yield Op("abandon", kvs=keys, sql=True)
                 session.abandon()
+                if not isinstance(exc, self.RETRIABLE):
+                    raise
                 restarts += 1
                 tracer = get_tracer()
                 if tracer.active:
@@ -240,11 +255,11 @@ class SessionRunner:
                 except StarvationError:
                     raise StarvationError(restarts)
                 self.clock.sleep(delay)
-            except SessionAbortedError:
-                session.abandon()
-                raise
-            except Exception:
-                session.abandon()
-                raise
             finally:
                 connection.close()
+
+
+def _unannounced(body, session):
+    """A plain callable body as a session generator announcing nothing."""
+    return body(session)
+    yield  # pragma: no cover -- makes this function a generator

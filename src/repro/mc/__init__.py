@@ -1,14 +1,17 @@
-"""repro.mc: a stateless model checker for IQ sessions.
+"""repro.mc: a stateless model checker for the shipped IQ sessions.
 
-Layered on :mod:`repro.sim.scheduler`, the checker turns the scripted
-figure reproductions into *systematic* evidence: it enumerates every
-interleaving of a bounded scenario (N announce-then-perform session
-programs, optionally including fault-delivery pseudo-programs), prunes
+The consistency clients of :mod:`repro.core` write every session once,
+as an announce-then-perform generator (:mod:`repro.core.steps`); BG runs
+those generators to completion, and this checker steps the very same
+generators through every interleaving of a bounded scenario (N sessions,
+optionally including fault-delivery pseudo-programs).  It prunes
 commuting orders with sleep sets (DPOR-lite) and state-fingerprint
 deduplication, and checks two oracles at every terminal state -- the
 no-stale/no-dirty value checks and the :class:`~repro.obs.audit.
 IQAuditor` protocol state machine.  Any violating schedule is
-delta-debugged down to a 1-minimal replayable script.
+delta-debugged down to a 1-minimal replayable script, and the paper's
+race figures are stored schedules replayed with :func:`replay`
+(:mod:`repro.mc.figures`).
 
 Entry points::
 
@@ -30,8 +33,18 @@ from repro.mc.explorer import (
     explore,
     replay,
 )
+from repro.mc.figures import FIGURES, FigureRun, run_figures
 from repro.mc.fuzz import FuzzFailure, FuzzReport, fuzz
-from repro.mc.program import MCProgram, MCRun, Op, independent
+from repro.mc.program import (
+    MCProgram,
+    MCRun,
+    Op,
+    Program,
+    ProgramCrash,
+    ProgramRun,
+    ScheduleError,
+    independent,
+)
 from repro.mc.scenarios import (
     FIGURE_PAIRS,
     SCENARIOS,
@@ -50,12 +63,19 @@ __all__ = [
     "ReplayResult",
     "explore",
     "replay",
+    "FIGURES",
+    "FigureRun",
+    "run_figures",
     "FuzzFailure",
     "FuzzReport",
     "fuzz",
     "MCProgram",
     "MCRun",
     "Op",
+    "Program",
+    "ProgramCrash",
+    "ProgramRun",
+    "ScheduleError",
     "independent",
     "FIGURE_PAIRS",
     "SCENARIOS",

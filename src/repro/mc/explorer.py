@@ -34,10 +34,9 @@ state ``scenario.check_final`` plus (``scenario.audit``) a fresh
 execution's trace stream.
 """
 
-from repro.mc.program import MCRun, independent
+from repro.mc.program import MCRun, ProgramCrash, independent
 from repro.obs.audit import IQAuditor
 from repro.obs.trace import get_tracer
-from repro.sim.scheduler import ProgramCrash
 
 __all__ = [
     "ExplorationReport",
@@ -139,9 +138,9 @@ class _Execution:
         self.auditor = IQAuditor() if scenario.audit else None
         if self.auditor is not None:
             self.auditor.attach(self.tracer)
+        self.runs = {}
         try:
             self.world, programs = scenario.build()
-            self.runs = {}
             self.order = []
             for program in programs:
                 if program.name in self.runs:
@@ -157,6 +156,8 @@ class _Execution:
         self.steps = []
 
     def close(self):
+        for run in self.runs.values():
+            run.close()
         if self.auditor is not None:
             self.auditor.detach(self.tracer)
             self.auditor = None

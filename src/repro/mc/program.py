@@ -1,98 +1,127 @@
-"""Session programs for the model checker: announce-then-perform steps.
+"""Programs the model checker interleaves: announce-then-perform generators.
 
-:mod:`repro.sim.scheduler` programs perform an operation and *then*
-yield its label, which is fine for replaying a fixed schedule but
-useless for partial-order reduction: by the time the scheduler learns
-what a step touched, the step has already run.  The model checker
-therefore drives programs written in **announce-then-perform** style::
+A *program* is a generator that yields an :class:`~repro.core.steps.Op`
+*before* each operation on shared state -- its label and the resources
+it is about to read and write -- and performs the operation when it is
+next advanced::
 
     def session(world):
-        yield Op("w:qar", kvs=[KEY])      # announce the next operation
+        yield Op("qar", kvs=[KEY])        # announce the next operation
         world.backend.qar(tid, KEY)       # ...then perform it
-        yield Op("w:commit", sql=True)    # announce the next one
-        ...
 
-Each ``yield`` hands the scheduler an :class:`Op` describing the
-operation the code *after* the yield will perform -- its label and the
-shared resources it reads and writes.  At every explored state the
-scheduler thus knows each unfinished program's *pending* operation
-without running it, which is exactly what sleep-set (DPOR-lite) pruning
-needs to decide which interleavings commute.
+Almost every program the checker runs is a shipped session -- the
+``read_steps``/``write_steps`` generators of :mod:`repro.core`, wrapped
+by :mod:`repro.mc.sessions` -- so the explored interleavings are those
+of the code BG runs.  Because each ``yield`` hands the scheduler the
+*pending* operation without running it, the explorer can decide which
+interleavings commute (sleep-set pruning) before executing anything.
 
-An :class:`MCRun` wraps the scheduler's :class:`~repro.sim.scheduler.
-ProgramRun`; advancing it executes the previously announced operation
-and captures the next announcement.  Program exceptions surface as
-:class:`~repro.sim.scheduler.ProgramCrash` with the schedule prefix
-attached, so a crashing schedule is as replayable as a violating one.
+:class:`ProgramRun` advances one generator; a program exception becomes
+a :class:`ProgramCrash` carrying the schedule prefix, so a crashing
+schedule is as replayable as a violating one.  :class:`MCRun` binds a
+run to a :class:`~repro.mc.world.World` and tracks the announcements.
 """
 
-from repro.sim.scheduler import Program, ProgramCrash, ProgramRun
+from repro.core.steps import Op, independent
+from repro.errors import ReproError
 
-__all__ = ["Op", "MCProgram", "MCRun", "independent"]
+__all__ = [
+    "Op",
+    "MCProgram",
+    "MCRun",
+    "Program",
+    "ProgramCrash",
+    "ProgramRun",
+    "ScheduleError",
+    "independent",
+]
 
 
-class Op:
-    """One announced operation: a label plus its shared-resource footprint.
+class ScheduleError(ReproError):
+    """A schedule advanced a finished program."""
 
-    ``reads``/``writes`` are collections of opaque resource names.  Two
-    operations are *dependent* when one writes a resource the other
-    touches; dependent operations do not commute, so their orders must
-    both be explored.  Convenience keywords:
 
-    * ``kvs=[key, ...]`` -- touches the cache/lease state of those keys
-      (always a write: lease tables mutate even on reads);
-    * ``sql=True`` -- touches the shared RDBMS (snapshots, row locks,
-      commit order);
-    * ``local=True`` (implied by an empty footprint) -- a purely
-      program-local step that commutes with everything.
+class ProgramCrash(ScheduleError):
+    """A program raised mid-step while being driven by a schedule.
+
+    The bare exception is useless to a shrinker or fuzzer -- by the time
+    it propagates, the interleaving that provoked it is gone.  This
+    wrapper carries the program name, the label of the last completed
+    step, and the schedule prefix executed so far, so the failure is
+    replayable: re-running ``schedule_prefix`` and advancing ``program``
+    once more reproduces it deterministically.
     """
 
-    __slots__ = ("label", "reads", "writes")
+    def __init__(self, program, step_label, schedule_prefix, original):
+        self.program = program
+        self.step_label = step_label
+        self.schedule_prefix = tuple(schedule_prefix)
+        self.original = original
+        super().__init__(
+            "program {!r} crashed after step {!r} under schedule prefix "
+            "{!r}: {}: {}".format(
+                program, step_label, list(self.schedule_prefix),
+                type(original).__name__, original,
+            )
+        )
 
-    def __init__(self, label, reads=(), writes=(), kvs=(), sql=False,
-                 local=False):
-        self.label = label
-        reads = set(reads)
-        writes = set(writes)
-        for key in kvs:
-            writes.add("kvs:{}".format(key))
-        if sql:
-            writes.add("sql")
-        if local:
-            reads.clear()
-            writes.clear()
-        self.reads = frozenset(reads)
-        self.writes = frozenset(writes)
 
-    @property
-    def footprint(self):
-        return self.reads | self.writes
+class Program:
+    """A named generator function."""
+
+    def __init__(self, name, generator_fn):
+        self.name = name
+        self.generator_fn = generator_fn
 
     def __repr__(self):
-        return "Op({!r})".format(self.label)
-
-    def __str__(self):
-        return self.label
+        return "Program({!r})".format(self.name)
 
 
-def independent(op_a, op_b):
-    """True when the two operations commute (disjoint conflict footprint)."""
-    if op_a is None or op_b is None:
-        return True
-    if op_a.writes & (op_b.reads | op_b.writes):
-        return False
-    if op_b.writes & (op_a.reads | op_a.writes):
-        return False
-    return True
+class ProgramRun:
+    """Execution state of one program."""
+
+    def __init__(self, program):
+        self.program = program
+        self.generator = program.generator_fn()
+        self.finished = False
+        self.result = None
+        self.error = None
+
+    def advance(self):
+        """Run the program up to its next yield (or completion).
+
+        Returns the yielded value, or ``None`` once the program
+        finished.  A mid-step exception is recorded in :attr:`error`
+        (the program counts as finished -- its generator is dead)
+        before propagating, so drivers can wrap it with schedule
+        context.
+        """
+        if self.finished:
+            raise ScheduleError(
+                "program {!r} already finished".format(self.program.name)
+            )
+        try:
+            return next(self.generator)
+        except StopIteration as stop:
+            self.finished = True
+            self.result = stop.value
+            return None
+        except Exception as exc:
+            self.finished = True
+            self.error = exc
+            raise
+
+    def close(self):
+        """Discard an unfinished program (runs its ``finally`` blocks)."""
+        self.generator.close()
 
 
 class MCProgram:
-    """A named announce-then-perform session program factory.
+    """A named announce-then-perform program factory.
 
     ``factory(world)`` must return a generator yielding :class:`Op`
-    announcements.  ``trace_id`` tags every step the program executes
-    with one trace, so the :class:`~repro.obs.audit.IQAuditor` can
-    correlate its lease events into sessions.
+    announcements.  Labels are local to the program; :class:`MCRun`
+    prefixes them with the program name (``"S1:sql-commit"``).
     """
 
     def __init__(self, name, factory):
@@ -108,7 +137,8 @@ class MCRun:
 
     Construction advances the generator to its first announcement; the
     code before the first ``yield`` must therefore be free of shared
-    side effects (bind locals, nothing more).
+    side effects that do not commute (binding locals, building clients,
+    minting a TID -- TIDs are aliased to their program -- is fine).
     """
 
     def __init__(self, mc_program, world):
@@ -120,7 +150,11 @@ class MCRun:
         ))
         #: labels of every executed (performed) operation, in order
         self.history = []
-        self.pending = self._advance_locked([])
+        #: the announced, not yet performed operation (None when done)
+        self.pending = None
+        #: its label, prefixed with the program name
+        self.pending_label = None
+        self._advance([])
 
     @property
     def finished(self):
@@ -130,25 +164,25 @@ class MCRun:
     def result(self):
         return self._run.result
 
-    def _advance_locked(self, executed_prefix):
+    def _advance(self, executed_prefix):
         from repro.obs.trace import trace_context
 
+        self._world.current = self.name
         try:
             with trace_context(self.trace_id):
-                label = self._run.advance()
+                op = self._run.advance()
         except Exception as exc:
             raise ProgramCrash(
-                self.name, self.pending.label if self.pending else None,
-                executed_prefix, exc,
+                self.name, self.pending_label, executed_prefix, exc,
             ) from exc
-        if label is None:
-            return None
-        if not isinstance(label, Op):
+        if op is not None and not isinstance(op, Op):
             raise TypeError(
                 "mc program {!r} must yield Op announcements, got {!r}"
-                .format(self.name, label)
+                .format(self.name, op)
             )
-        return label
+        self.pending = op
+        self.pending_label = (
+            None if op is None else "{}:{}".format(self.name, op.label))
 
     def step(self, executed_prefix):
         """Perform the announced operation; capture the next announcement.
@@ -157,11 +191,14 @@ class MCRun:
         """
         if self.finished:
             raise ProgramCrash(
-                self.name, self.pending.label if self.pending else None,
-                executed_prefix,
+                self.name, self.pending_label, executed_prefix,
                 RuntimeError("stepping a finished program"),
             )
-        performed = self.pending
-        self.pending = self._advance_locked(executed_prefix)
-        self.history.append(performed.label)
-        return performed.label
+        performed = self.pending_label
+        self._advance(executed_prefix)
+        self.history.append(performed)
+        return performed
+
+    def close(self):
+        if not self.finished:
+            self._run.close()

@@ -21,31 +21,33 @@ prove clean over the same bounded space), 3-session technique mixes,
 regression semantics (post-commit journaling, ``poison`` partial-
 proposal abort) -- each of those paired with its rejected "buggy"
 variant so the suite demonstrates the checker *would have caught* the
-original bug.
+original bug.  Every session is a shipped client
+(:mod:`repro.mc.sessions`); a rejected variant is the same client with
+one substitution (an unfenced flight registry, a backend that journals
+at failure time or lacks ``poison``, a guessing commit clock, an
+unquarantined migration plan).
 """
 
+from repro.core.session import AcquisitionMode
 from repro.mc.sessions import (
+    GuessingClock,
+    JournalAtFailure,
+    WithoutPoison,
     baseline_cas_writer,
-    coalesced_iq_reader,
     baseline_delta_writer,
-    baseline_dirty_refresher,
     baseline_reader,
     baseline_trigger_invalidator,
-    clock_abort_writer,
     clock_reader,
     clock_writer,
+    dirty_refresher,
     fault_program,
-    iq_abort_refresh_writer,
-    iq_batch_invalidate_writer,
     iq_delta_writer,
     iq_invalidate_writer,
     iq_reader,
     iq_refresh_writer,
     migration_program,
-    naive_clock_reader,
+    precommit_delta_writer,
     reconciler,
-    sharded_delta_writer,
-    sharded_invalidate_writer,
 )
 from repro.mc.world import World
 from repro.sharding import Rebalancer
@@ -232,22 +234,22 @@ def _fig2_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 100)
     return world, [
-        baseline_cas_writer("S1", "k0", "val + 50",
-                            lambda old: int(old) + 50, attempts=2),
-        baseline_cas_writer("S2", "k0", "val * 10",
-                            lambda old: int(old) * 10, attempts=2),
+        baseline_cas_writer("S1", "k0", "val + 50", lambda old: old + 50),
+        baseline_cas_writer("S2", "k0", "val * 10", lambda old: old * 10),
     ]
 
 
-def _fig2_iq():
-    world = World(keys=("k0",), backend="iq")
-    world.seed("k0", 100)
-    return world, [
-        iq_refresh_writer("S1", "k0", "val + 50",
-                          lambda old: int(old) + 50, attempts=3),
-        iq_refresh_writer("S2", "k0", "val * 10",
-                          lambda old: int(old) * 10, attempts=3),
-    ]
+def _fig2_iq(mode=AcquisitionMode.PRIOR):
+    def build():
+        world = World(keys=("k0",), backend="iq")
+        world.seed("k0", 100)
+        return world, [
+            iq_refresh_writer("S1", "k0", "val + 50", lambda old: old + 50,
+                              attempts=3, mode=mode),
+            iq_refresh_writer("S2", "k0", "val * 10", lambda old: old * 10,
+                              attempts=3, mode=mode),
+        ]
+    return build
 
 
 def _fig3_baseline():
@@ -259,14 +261,16 @@ def _fig3_baseline():
     ]
 
 
-def _fig3_iq():
+def _fig3_iq(mode=AcquisitionMode.DURING):
     # Eager-delete variant (optimization off): exercises back-off.
-    world = World(keys=("k0",), backend="iq", serve_pending=False)
-    world.seed("k0", 0)
-    return world, [
-        iq_invalidate_writer("S1", {"k0": "1"}, attempts=2),
-        iq_reader("S2", "k0", attempts=4),
-    ]
+    def build():
+        world = World(keys=("k0",), backend="iq", serve_pending=False)
+        world.seed("k0", 0)
+        return world, [
+            iq_invalidate_writer("S1", {"k0": "1"}, attempts=2, mode=mode),
+            iq_reader("S2", "k0", attempts=4),
+        ]
+    return build
 
 
 def _fig4_baseline():
@@ -299,7 +303,7 @@ def _fig6_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 0)
     return world, [
-        baseline_dirty_refresher("S1", "k0", "val + 1", 1),
+        dirty_refresher("S1", "k0", "val + 1", 1),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -308,7 +312,8 @@ def _fig6_iq():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 0)
     return world, [
-        iq_abort_refresh_writer("S1", "k0", "val + 1"),
+        iq_refresh_writer("S1", "k0", "val + 1", lambda old: old + 1,
+                          attempts=1, abort=True),
         iq_reader("S2", "k0", attempts=4),
     ]
 
@@ -317,25 +322,28 @@ def _fig7_baseline():
     world = World(keys=("k0",), backend="baseline", text_values=True)
     world.seed_db_only("k0", "x")  # cold cache: the figure starts on a miss
     return world, [
-        baseline_delta_writer("S1", "k0", "append", b"d", precommit=True),
+        precommit_delta_writer("S1", "k0", "append", b"d"),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
 
-def _fig7_iq():
-    world = World(keys=("k0",), backend="iq", text_values=True)
-    world.seed_db_only("k0", "x")
-    return world, [
-        iq_delta_writer("S1", [("k0", "append", b"d")], attempts=2),
-        iq_reader("S2", "k0", attempts=4),
-    ]
+def _fig7_iq(mode=AcquisitionMode.DURING):
+    def build():
+        world = World(keys=("k0",), backend="iq", text_values=True)
+        world.seed_db_only("k0", "x")
+        return world, [
+            iq_delta_writer("S1", [("k0", "append", b"d")], attempts=2,
+                            mode=mode),
+            iq_reader("S2", "k0", attempts=4),
+        ]
+    return build
 
 
 def _fig8_baseline():
     world = World(keys=("k0",), backend="baseline", text_values=True)
     world.seed_db_only("k0", "x")
     return world, [
-        baseline_delta_writer("S1", "k0", "append", b"d", precommit=False),
+        baseline_delta_writer("S1", "k0", "append", b"d"),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -356,15 +364,17 @@ def _fig8_iq():
 # 3-session technique mixes under IQ (exhaustive, must be clean)
 # ---------------------------------------------------------------------------
 
-def _mix3_inv_refresh_read():
-    world = World(keys=("k0",), backend="iq")
-    world.seed("k0", 10)
-    return world, [
-        iq_invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
-        iq_refresh_writer("ref", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
-        iq_reader("r", "k0", attempts=3),
-    ]
+def _mix3_inv_refresh_read(mode=AcquisitionMode.PRIOR):
+    def build():
+        world = World(keys=("k0",), backend="iq")
+        world.seed("k0", 10)
+        return world, [
+            iq_invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
+            iq_refresh_writer("ref", "k0", "val + 7", lambda old: old + 7,
+                              attempts=2, mode=mode),
+            iq_reader("r", "k0", attempts=3),
+        ]
+    return build
 
 
 def _mix3_inv_delta_read():
@@ -381,8 +391,8 @@ def _mix3_refresh_delta_read():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_refresh_writer("ref", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        iq_refresh_writer("ref", "k0", "val + 7", lambda old: old + 7,
+                          attempts=2),
         iq_delta_writer("d", [("k0", "incr", 3)], attempts=2),
         iq_reader("r", "k0", attempts=3),
     ]
@@ -457,8 +467,8 @@ def _fault_expired_leases():
     return world, [
         fault_program("F", "expire-leases",
                       lambda w: w.expire_leases(), ("k0",)),
-        iq_refresh_writer("S1", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        iq_refresh_writer("S1", "k0", "val + 7", lambda old: old + 7,
+                          attempts=2),
         iq_reader("S2", "k0", attempts=3),
     ]
 
@@ -476,13 +486,11 @@ def _fuzz_sharded_fault():
     world.seed(key_victim, 20)
     victim = world.backend.shard_name_for(key_victim)
     return world, [
-        sharded_invalidate_writer(
+        iq_invalidate_writer(
             "W", {key_healthy: "val + 100", key_victim: "val + 100"},
-            journal_timing="post", attempts=2,
+            attempts=2,
         ),
-        sharded_delta_writer(
-            "D", [(key_victim, "incr", 3)], poison=True, attempts=2,
-        ),
+        iq_delta_writer("D", [(key_victim, "incr", 3)], attempts=2),
         iq_reader("R1", key_victim, attempts=3),
         iq_reader("R2", key_healthy, attempts=3),
         fault_program("F", "kill:{}".format(victim),
@@ -506,14 +514,14 @@ def _qareg_invalidate(batched):
     between the keys.  Both must explore clean, and ``tests/mc``
     asserts their terminal outcome sets are identical.
     """
-    writer = iq_batch_invalidate_writer if batched else iq_invalidate_writer
 
     def build():
         world = World(keys=("k0", "k1"), backend="iq")
         world.seed("k0", 10)
         world.seed("k1", 20)
         return world, [
-            writer("W", {"k0": "val + 100", "k1": "val + 100"}, attempts=2),
+            iq_invalidate_writer("W", {"k0": "val + 100", "k1": "val + 100"},
+                                 attempts=2, batch=batched),
             iq_delta_writer("d", [("k1", "incr", 3)], attempts=2),
             iq_reader("r", "k0", attempts=3),
         ]
@@ -540,13 +548,11 @@ def _coalesced_fill(serve_pending):
         world = World(keys=("k0",), backend="iq",
                       serve_pending=serve_pending)
         world.seed_db_only("k0", 0)
-        flights = {}
+        flights = world.flights()
         return world, [
             iq_invalidate_writer("W", {"k0": "1"}, attempts=2),
-            coalesced_iq_reader("F", "k0", flights, fenced=True,
-                                attempts=3, expect=True),
-            coalesced_iq_reader("R", "k0", flights, fenced=True,
-                                attempts=3, expect=True),
+            iq_reader("F", "k0", attempts=3, flights=flights, expect=True),
+            iq_reader("R", "k0", attempts=3, flights=flights, expect=True),
         ]
 
     return build
@@ -571,14 +577,12 @@ def _coalesced_witness(fenced):
     def build():
         world = World(keys=("k0",), backend="iq", serve_pending=False)
         world.seed_db_only("k0", 0)
-        flights = {}
+        flights = world.flights(fenced=fenced)
         return world, [
             iq_invalidate_writer("W", {"k0": "1"}, attempts=1),
-            coalesced_iq_reader("F", "k0", flights, fenced=fenced,
-                                attempts=2),
+            iq_reader("F", "k0", attempts=2, flights=flights),
             iq_reader("G", "k0", attempts=2),
-            coalesced_iq_reader("R", "k0", flights, fenced=fenced,
-                                attempts=2, expect=True),
+            iq_reader("R", "k0", attempts=2, flights=flights, expect=True),
         ]
 
     return build
@@ -599,7 +603,7 @@ def _journal_invariant(world, runs):
     return []
 
 
-def _pr2_journal(journal_timing):
+def _pr2_journal(pre_commit):
     def build():
         key_healthy, key_victim = _two_keys_on_distinct_shards()
         world = World(keys=(key_healthy, key_victim), backend="sharded",
@@ -610,9 +614,9 @@ def _pr2_journal(journal_timing):
         world.kill_shard(victim, label="setup-kill:{}".format(victim))
         world._fault_log.clear()  # setup, not an explored fault step
         return world, [
-            sharded_invalidate_writer(
-                "W", {key_healthy: "1", key_victim: "1"},
-                journal_timing=journal_timing, attempts=2,
+            iq_invalidate_writer(
+                "W", {key_healthy: "1", key_victim: "1"}, attempts=2,
+                backend=JournalAtFailure if pre_commit else None,
             ),
             fault_program("H", "heal",
                           lambda w: w.heal_shard(victim), (key_victim,)),
@@ -634,11 +638,11 @@ def _pr2_poison(poison):
         # partial-proposal shape poison() exists for.
         world.shard_gates[victim].fail_after["iq_delta"] = 1
         return world, [
-            sharded_delta_writer(
+            iq_delta_writer(
                 "W",
                 [(key_victim, "incr", 1), (key_victim, "incr", 2),
                  (key_healthy, "incr", 5)],
-                poison=poison, attempts=1,
+                attempts=1, backend=None if poison else WithoutPoison,
             ),
             iq_reader("R", key_victim, attempts=3),
         ]
@@ -714,9 +718,7 @@ def _rebalance_add_kill():
     source = world.backend.shard_name_for(moving)
     return world, [
         migration_program("M", _add_plan),
-        sharded_invalidate_writer(
-            "W", {moving: "val + 100"}, journal_timing="post", attempts=2,
-        ),
+        iq_invalidate_writer("W", {moving: "val + 100"}, attempts=2),
         iq_reader("R", moving, attempts=2),
         fault_program("F", "kill:{}".format(source),
                       lambda w: w.kill_shard(source), (moving, staying)),
@@ -739,8 +741,8 @@ def _rebalance_remove():
 
     return world, [
         migration_program("M", plan),
-        iq_refresh_writer("W", victim, "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        iq_refresh_writer("W", victim, "val + 7", lambda old: old + 7,
+                          attempts=2),
         iq_reader("R", victim, attempts=2),
     ]
 
@@ -763,7 +765,7 @@ def _rebalance_unquarantined():
 
 
 # ---------------------------------------------------------------------------
-# precise-clock scenarios (repro.clock): the figure races, lease-free
+# precise-clock scenarios (ClockClient): the figure races, lease-free
 # ---------------------------------------------------------------------------
 
 def _fig2_clock():
@@ -775,7 +777,7 @@ def _fig2_clock():
     return world, [
         clock_writer("S1", {"k0": "val + 50"}, attempts=3),
         clock_writer("S2", {"k0": "val * 10"}, attempts=3),
-        clock_reader("R", "k0", attempts=2),
+        clock_reader("R", "k0"),
     ]
 
 
@@ -787,7 +789,7 @@ def _fig3_clock():
     world.seed_db_only("k0", 0)
     return world, [
         clock_writer("S1", {"k0": "1"}, attempts=2),
-        clock_reader("S2", "k0", attempts=2),
+        clock_reader("S2", "k0"),
     ]
 
 
@@ -800,8 +802,8 @@ def _fig4_clock():
     world.seed_db_only("k0", 0)
     return world, [
         clock_writer("S1", {"k0": "1"}, attempts=2),
-        clock_reader("R1", "k0", attempts=2),
-        clock_reader("R2", "k0", attempts=2),
+        clock_reader("R1", "k0"),
+        clock_reader("R2", "k0"),
     ]
 
 
@@ -812,8 +814,8 @@ def _fig6_clock():
     world = World(keys=("k0",), backend="iq")
     world.seed_db_only("k0", 0)
     return world, [
-        clock_abort_writer("S1", {"k0": "val + 1"}),
-        clock_reader("S2", "k0", attempts=2),
+        clock_writer("S1", {"k0": "val + 1"}, attempts=1, abort=True),
+        clock_reader("S2", "k0"),
     ]
 
 
@@ -825,7 +827,7 @@ def _fig7_clock():
     world.seed_db_only("k0", "x")
     return world, [
         clock_writer("S1", {"k0": "val + 'd'"}, attempts=2),
-        clock_reader("S2", "k0", attempts=2),
+        clock_reader("S2", "k0"),
     ]
 
 
@@ -839,7 +841,8 @@ def _clock_missized():
     world.seed_db_only("k0", 0)
     return world, [
         clock_writer("W", {"k0": "1"}, attempts=2),
-        naive_clock_reader("R", "k0", guess=8, attempts=2),
+        clock_reader("R", "k0",
+                     commit_clock=lambda w: GuessingClock(w.db, guess=8)),
     ]
 
 
@@ -863,10 +866,16 @@ _register(Scenario(
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
-    "fig2-iq", _fig2_iq, technique="refresh",
+    "fig2-iq", _fig2_iq(), technique="refresh",
     description="Figure 2 under IQ refresh: QaRead/SaR serialize the "
                 "two writers",
     tags=("figure", "iq"),
+))
+_register(Scenario(
+    "fig2-iq-during", _fig2_iq(AcquisitionMode.DURING), technique="refresh",
+    description="Figure 2 under IQ refresh as BG runs it: QaRead inside "
+                "the transaction (AcquisitionMode.DURING)",
+    tags=("figure", "iq", "mode"),
 ))
 _register(Scenario(
     "fig3-baseline", _fig3_baseline, expect_violation=True,
@@ -875,10 +884,16 @@ _register(Scenario(
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
-    "fig3-iq", _fig3_iq,
+    "fig3-iq", _fig3_iq(),
     description="Figure 3 under IQ invalidate (eager delete): readers "
                 "back off against the Q lease",
     tags=("figure", "iq"),
+))
+_register(Scenario(
+    "fig3-iq-prior", _fig3_iq(AcquisitionMode.PRIOR),
+    description="Figure 3 under IQ invalidate with QaR before the "
+                "transaction (AcquisitionMode.PRIOR)",
+    tags=("figure", "iq", "mode"),
 ))
 _register(Scenario(
     "fig4-baseline", _fig4_baseline, expect_violation=True,
@@ -913,10 +928,16 @@ _register(Scenario(
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
-    "fig7-iq", _fig7_iq, technique="delta",
+    "fig7-iq", _fig7_iq(), technique="delta",
     description="Figure 7 under IQ-delta: the Q lease voids the "
                 "doomed fill's I lease",
     tags=("figure", "iq"),
+))
+_register(Scenario(
+    "fig7-iq-prior", _fig7_iq(AcquisitionMode.PRIOR), technique="delta",
+    description="Figure 7 under IQ-delta with the proposal made before "
+                "the transaction (AcquisitionMode.PRIOR)",
+    tags=("figure", "iq", "mode"),
 ))
 _register(Scenario(
     "fig8-baseline", _fig8_baseline, expect_violation=True,
@@ -933,10 +954,18 @@ _register(Scenario(
 ))
 
 _register(Scenario(
-    "mix3-inv-refresh-read", _mix3_inv_refresh_read, technique="mixed",
+    "mix3-inv-refresh-read", _mix3_inv_refresh_read(), technique="mixed",
     description="3 sessions: invalidate writer + refresh writer + "
                 "reader on one key, exhaustively under IQ",
     tags=("mix", "iq"),
+))
+_register(Scenario(
+    "mix3-inv-refresh-read-during",
+    _mix3_inv_refresh_read(AcquisitionMode.DURING), technique="mixed",
+    description="The same mix with the refresh writer as BG runs it "
+                "(DURING): after the invalidate deletes the key, its "
+                "QaRead finds it cold and SaR releases without installing",
+    tags=("mix", "iq", "mode"),
 ))
 _register(Scenario(
     "mix3-inv-delta-read", _mix3_inv_delta_read, technique="mixed",
@@ -1030,7 +1059,7 @@ _register(Scenario(
 ))
 
 _register(Scenario(
-    "pr2-journal-post", _pr2_journal("post"),
+    "pr2-journal-post", _pr2_journal(pre_commit=False),
     check_state=_journal_invariant, allow_journaled_stale=True,
     description="PR 2 semantics: growing-phase shard failures journal "
                 "only after the SQL commit (explored with kill/heal/"
@@ -1038,7 +1067,7 @@ _register(Scenario(
     tags=("pr2", "sharded"),
 ))
 _register(Scenario(
-    "pr2-journal-pre", _pr2_journal("pre"),
+    "pr2-journal-pre", _pr2_journal(pre_commit=True),
     check_state=_journal_invariant, allow_journaled_stale=True,
     expect_violation=True,
     description="Rejected PR 2 behaviour: journaling at failure time "

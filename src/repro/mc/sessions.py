@@ -1,491 +1,96 @@
-"""Announce-then-perform session programs for the model checker.
+"""The model checker's programs: shipped sessions, plus a few mc-only ones.
 
-Each builder returns an :class:`~repro.mc.program.MCProgram` whose
-generator mirrors one of the paper's session shapes -- read-and-fill,
-refresh (R-M-W), invalidate (trigger-style), incremental update (delta)
--- against either the unleased baseline store or an IQ backend.  The
-builders differ from the scripted figures of :mod:`repro.sim.scripts` in
-three ways:
+Every session a shipped client runs is explored *as shipped*: each
+builder below constructs the real consistency client of
+:mod:`repro.core.policies` against the scenario's
+:class:`~repro.mc.world.World` and steps its ``read_steps`` /
+``write_steps`` generator -- the code BG drives to completion -- one
+announced operation at a time.  The builders only translate between
+the scenario's vocabulary and the client's:
 
-* every shared-state operation is *announced* (an :class:`Op` with its
-  resource footprint) before it runs, so the explorer can reason about
-  commutativity;
-* conflict outcomes the scripts never reach -- ``QuarantinedError`` from
-  a competing Q lease, :class:`TransactionAbortedError` from the RDBMS's
-  first-updater-wins rule, ``CacheUnavailableError`` from a gated shard
-  -- are handled with *bounded* retries so every program terminates in
-  every interleaving;
-* observations and commits are reported to the :class:`~repro.mc.world.
-  World` (``observe`` / ``record_commit`` / ``bind_tid``) for the
-  oracles and fingerprints, and write sessions emit ``session.begin`` /
-  ``session.sql_commit`` / ``session.end`` trace events so the
-  :class:`~repro.obs.audit.IQAuditor` can apply its 2PL check.
+* the SQL body updates ``items`` rows and, on commit, folds the new
+  values into the world's committed history;
+* ``compute`` (a reader's RDBMS query) and refreshers record the values
+  they read, so the explorer's state fingerprint covers values held in
+  generator locals;
+* ``attempts`` becomes the client's :class:`~repro.util.backoff.
+  NoBackoff` cap: a back-off or flight wait is a scheduling point, and a
+  session whose cap runs out ends ``"starved"`` / ``"gave-up"`` instead
+  of spinning.
 
-Step labels are deliberately attempt-independent ("w:qaread", not
-"w:qaread#2"): two prefixes that reach the same state through a
-different number of rejected attempts still produce distinguishable
-*histories* (the labels repeat), while the labels themselves stay small
-and stable for shrinker output.
+The deliberately unsafe controls are substitutions a scenario makes,
+never flags on shipped code: an unfenced flight registry
+(:meth:`~repro.mc.world.World.flights`), :class:`JournalAtFailure`
+(a backend that journals a key the moment its Q lease fails, i.e. before
+the commit), :class:`WithoutPoison` (a backend without the router's
+``poison`` marker) and :class:`GuessingClock` (a commit clock that sizes
+an interval without registering a promise).
+
+Only programs no shipped client runs are written here: the fault
+pseudo-program, the journal reconciler, the migration driver, and the
+two figure controls whose unsafe shape has no live twin
+(:func:`dirty_refresher`, :func:`precommit_delta_writer`).
 """
 
+from repro.config import ClockConfig
+from repro.core.iq_client import IQClient
+from repro.core.policies import (
+    BaselineDeltaClient,
+    BaselineInvalidateClient,
+    BaselineRefreshClient,
+    ClockClient,
+    IQDeltaClient,
+    IQInvalidateClient,
+    IQRefreshClient,
+    KeyChange,
+    transaction_steps,
+)
+from repro.core.session import AcquisitionMode
+from repro.core.steps import Op
 from repro.errors import (
     CacheUnavailableError,
-    QuarantinedError,
+    StarvationError,
     TransactionAbortedError,
 )
-from repro.mc.program import MCProgram, Op
+from repro.mc.program import MCProgram
+from repro.sql.clock import CommitClock
+from repro.util.backoff import NoBackoff
 
 __all__ = [
     "iq_reader",
-    "coalesced_iq_reader",
-    "iq_refresh_writer",
     "iq_invalidate_writer",
-    "iq_batch_invalidate_writer",
+    "iq_refresh_writer",
     "iq_delta_writer",
-    "iq_abort_refresh_writer",
     "baseline_reader",
-    "baseline_cas_writer",
     "baseline_trigger_invalidator",
-    "baseline_dirty_refresher",
+    "baseline_cas_writer",
     "baseline_delta_writer",
-    "fault_program",
-    "sharded_invalidate_writer",
-    "sharded_delta_writer",
-    "reconciler",
-    "migration_program",
     "clock_reader",
     "clock_writer",
-    "clock_abort_writer",
-    "naive_clock_reader",
+    "dirty_refresher",
+    "precommit_delta_writer",
+    "fault_program",
+    "reconciler",
+    "migration_program",
+    "JournalAtFailure",
+    "WithoutPoison",
+    "GuessingClock",
 ]
+
+#: how a read session ended, by the label of its last performed step
+_READ_ENDINGS = {
+    "get": "hit", "flight-wait": "coalesced", "fill-set": "filled",
+    "db-read": "degraded", "cget": "hit", "cset": "filled",
+}
+
+
+class _Abort(Exception):
+    """An application-level failure raised inside a SQL body."""
 
 
 def _encode(value):
     return str(value).encode()
 
-
-def _sql_update(world, assignments):
-    """Open a transaction and apply ``{key: set_expr}`` row updates.
-
-    Returns the open connection, or ``None`` when the RDBMS aborted the
-    transaction (first-updater-wins conflict with a concurrent session).
-    """
-    connection = world.connect()
-    connection.begin()
-    try:
-        for key, expr in assignments.items():
-            connection.execute(
-                "UPDATE items SET val = {} WHERE id = ?".format(expr),
-                (world.row_id(key),),
-            )
-    except TransactionAbortedError:
-        connection.close()
-        return None
-    return connection
-
-
-# ---------------------------------------------------------------------------
-# read sessions
-# ---------------------------------------------------------------------------
-
-def iq_reader(name, key, attempts=3):
-    """Read ``key``; on a miss, fill from the RDBMS under an I lease.
-
-    On a gated-shard failure the reader degrades to a direct RDBMS read
-    (the resilient client's fallback policy) -- still a committed value,
-    recorded as a ``db`` observation rather than a ``cache`` one.
-    """
-
-    def factory(world):
-        backend = world.backend
-        for _ in range(attempts):
-            yield Op("{}:get".format(name), kvs=[key])
-            try:
-                result = backend.iq_get(key)
-            except CacheUnavailableError:
-                yield Op("{}:db-read".format(name), sql=True)
-                world.observe(name, "db", key, world.query_committed(key))
-                return "degraded"
-            if result.is_hit:
-                world.observe(name, "cache", key, result.value)
-                return "hit"
-            if result.backoff:
-                continue
-            token = result.token
-            yield Op("{}:fill-query".format(name), sql=True)
-            value = world.query_committed(key)
-            # The queried value lives in this generator until fill-set;
-            # surfacing it as an observation keeps the explorer's state
-            # fingerprint sound (two states that differ only in a pending
-            # fill value must not dedup).
-            world.observe(name, "query", key, value)
-            yield Op("{}:fill-set".format(name), kvs=[key])
-            try:
-                installed = backend.iq_set(key, _encode(value), token)
-            except CacheUnavailableError:
-                return "degraded"
-            if installed:
-                world.observe(name, "fill", key, value)
-            return "filled" if installed else "fill-ignored"
-        return "starved"
-
-    return MCProgram(name, factory)
-
-
-def coalesced_iq_reader(name, key, flights, fenced=True, attempts=3,
-                        wait_steps=2, expect=False):
-    """IQ read with client-side miss coalescing (the singleflight path).
-
-    ``flights`` is the co-located clients' shared flight registry (one
-    plain dict per scenario, created by the scenario's ``build``).  The
-    model mirrors :class:`repro.core.singleflight.SingleFlight` at
-    exactly the granularity the fencing proof needs:
-
-    * the filler *registers* its flight in a step separate from the fill
-      query, and *unregisters* in a step separate from the install --
-      ``join < unregister < install`` is the ordering the applied-fence
-      argument rests on, so those transitions must be independently
-      schedulable;
-    * install and resolve collapse into one step (the real client
-      resolves right after ``iqset`` returns, with no wire operation in
-      between; coarsening adjacent local actions is sound);
-    * a waiter joins at its back-off step (the real client consults the
-      registry where it would otherwise sleep) and then polls the
-      flight in announced ``flight-wait`` steps, consuming the outcome
-      only when ``fenced`` is off or the fill was *applied* (a live I
-      lease at install time).  The deliberately unfenced variant
-      consumes any resolved outcome -- the losing schedule the checker
-      must find.
-
-    Registration and resolution are mirrored into ``world.flags``
-    (``flight:<key>`` while registered, ``flight-outcome:<name>`` once
-    resolved) so explorer fingerprints distinguish states that differ
-    only in flight state; the pending fill value itself is covered by
-    the ``query`` observation, exactly as in :func:`iq_reader`.
-
-    With ``expect=True`` the program's first step snapshots the
-    committed value -- the freshness baseline for the
-    ``coalesced-stale`` oracle
-    (:func:`repro.mc.scenarios.coalesced_final_checks`).  The snapshot
-    is recorded only when no Q lease is outstanding on ``key``: a
-    pending write session means this read may legally serialize before
-    the writer (Figure 4's rearrangement window), so only reads that
-    began *after* the writer's session fully ended carry the obligation
-    to observe its value.
-    """
-
-    def factory(world):
-        backend = world.backend
-        if expect:
-            yield Op("{}:expect".format(name), kvs=[key], sql=True)
-            _has_i, q_holders = backend.leases.leases_on(key)
-            if not q_holders:
-                world.observe(name, "expect", key,
-                              world.query_committed(key))
-        for _ in range(attempts):
-            yield Op("{}:get".format(name), kvs=[key])
-            try:
-                result = backend.iq_get(key)
-            except CacheUnavailableError:
-                yield Op("{}:db-read".format(name), sql=True)
-                world.observe(name, "db", key, world.query_committed(key))
-                return "degraded"
-            if result.is_hit:
-                world.observe(name, "cache", key, result.value)
-                return "hit"
-            if result.backoff:
-                flight = flights.get(key)
-                if flight is None:
-                    continue
-                outcome = None
-                for _ in range(wait_steps):
-                    yield Op("{}:flight-wait".format(name), kvs=[key])
-                    if flight["done"]:
-                        outcome = flight["outcome"]
-                        break
-                if outcome is None:
-                    continue  # timed out, or the filler abandoned
-                value, applied = outcome
-                if fenced and not applied:
-                    # Refused install: an invalidation crossed the fill
-                    # window, so the flight's value may predate a commit
-                    # this read must observe.  Retry through the server.
-                    continue
-                world.observe(name, "cache", key, value)
-                return "coalesced"
-            token = result.token
-            # Filler: every branch below returns, so a program registers
-            # at most one flight per run -- its name is a unique id.
-            flight = {"done": False, "outcome": None}
-            yield Op("{}:flight-begin".format(name), kvs=[key])
-            flights[key] = flight
-            world.flags["flight:{}".format(key)] = name
-            yield Op("{}:fill-query".format(name), sql=True)
-            value = world.query_committed(key)
-            world.observe(name, "query", key, value)
-            yield Op("{}:flight-close".format(name), kvs=[key])
-            if flights.get(key) is flight:
-                del flights[key]
-            if world.flags.get("flight:{}".format(key)) == name:
-                del world.flags["flight:{}".format(key)]
-            yield Op("{}:fill-set".format(name), kvs=[key])
-            try:
-                installed = backend.iq_set(key, _encode(value), token)
-            except CacheUnavailableError:
-                flight["done"] = True
-                world.flags["flight-outcome:{}".format(name)] = "abandoned"
-                return "degraded"
-            flight["outcome"] = (value, installed)
-            flight["done"] = True
-            world.flags["flight-outcome:{}".format(name)] = "{}:{}".format(
-                value, "applied" if installed else "refused"
-            )
-            if installed:
-                world.observe(name, "fill", key, value)
-            return "filled" if installed else "fill-ignored"
-        return "starved"
-
-    return MCProgram(name, factory)
-
-
-def baseline_reader(name, key, attempts=3):
-    """The Facebook read-lease reader against the unleased baseline."""
-
-    def factory(world):
-        store = world.backend
-        for _ in range(attempts):
-            yield Op("{}:get".format(name), kvs=[key])
-            result = store.lease_get(key)
-            if result.is_hit:
-                world.observe(name, "cache", key, result.value)
-                return "hit"
-            if not result.has_lease:
-                continue
-            token = result.token
-            yield Op("{}:fill-query".format(name), sql=True)
-            value = world.query_committed(key)
-            world.observe(name, "query", key, value)
-            yield Op("{}:fill-set".format(name), kvs=[key])
-            installed = store.lease_set(key, _encode(value), token)
-            if installed:
-                world.observe(name, "fill", key, value)
-            return "filled" if installed else "fill-ignored"
-        return "starved"
-
-    return MCProgram(name, factory)
-
-
-# ---------------------------------------------------------------------------
-# refresh (R-M-W) write sessions
-# ---------------------------------------------------------------------------
-
-def iq_refresh_writer(name, key, expr, compute, attempts=3):
-    """Figure 2's R-M-W session under IQ: QaRead, SQL, commit, SaR.
-
-    ``expr`` is the SQL set-expression (``"val + 50"``); ``compute``
-    maps the QaRead'd old value (a ``str``) to the new one.  A rejected
-    QaRead or an RDBMS write-write abort releases everything and
-    retries, up to ``attempts`` times.
-    """
-
-    def factory(world):
-        backend = world.backend
-        for _ in range(attempts):
-            yield Op("{}:qaread".format(name), kvs=[key])
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            try:
-                old = backend.qaread(key, tid).value
-                world.observe(name, "qaread", key, old)
-            except QuarantinedError:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-update".format(name), sql=True)
-            connection = _sql_update(world, {key: expr})
-            if connection is None:
-                yield Op("{}:abort".format(name), kvs=[key])
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.emit("session.sql_commit", tid=tid)
-            if old is None:
-                yield Op("{}:reread".format(name), sql=True)
-                new_value = str(world.query_committed(key))
-                world.observe(name, "query", key, new_value)
-            else:
-                new_value = compute(old.decode())
-            yield Op("{}:sar".format(name), kvs=[key])
-            backend.sar(key, _encode(new_value), tid)
-            world.emit("session.end", tid=tid)
-            return "refreshed"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-def iq_abort_refresh_writer(name, key, expr):
-    """Figure 6's aborting refresh session under IQ.
-
-    The RDBMS transaction rolls back before commit; ``Abort(TID)``
-    releases the Q lease without ever touching the cached value.
-    """
-
-    def factory(world):
-        backend = world.backend
-        yield Op("{}:qaread".format(name), kvs=[key])
-        tid = backend.gen_id()
-        world.bind_tid(name, tid)
-        world.emit("session.begin", tid=tid)
-        try:
-            backend.qaread(key, tid)
-        except QuarantinedError:
-            backend.abort(tid)
-            world.emit("session.end", tid=tid)
-            return "rejected"
-        yield Op("{}:sql-update".format(name), sql=True)
-        connection = _sql_update(world, {key: expr})
-        yield Op("{}:rollback".format(name), sql=True)
-        if connection is not None:
-            connection.rollback()
-            connection.close()
-        yield Op("{}:abort".format(name), kvs=[key])
-        backend.abort(tid)
-        world.emit("session.end", tid=tid)
-        return "aborted"
-
-    return MCProgram(name, factory)
-
-
-# ---------------------------------------------------------------------------
-# invalidate write sessions
-# ---------------------------------------------------------------------------
-
-def iq_invalidate_writer(name, assignments, attempts=3):
-    """Figure 3's trigger-invalidate session under IQ.
-
-    ``assignments`` maps key -> SQL set-expression, all updated in one
-    transaction with one QaR per key fired trigger-style inside it,
-    then committed and DaR'd.
-    """
-    keys = tuple(assignments)
-
-    def factory(world):
-        backend = world.backend
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            rejected = False
-            for key in keys:
-                yield Op("{}:qar:{}".format(name, key), kvs=[key])
-                try:
-                    backend.qar(tid, key)
-                except QuarantinedError:
-                    rejected = True
-                    break
-            if rejected:
-                yield Op("{}:rollback".format(name), sql=True)
-                connection.rollback()
-                connection.close()
-                yield Op("{}:abort".format(name), kvs=keys)
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            world.emit("session.sql_commit", tid=tid)
-            yield Op("{}:dar".format(name), kvs=keys)
-            backend.dar(tid)
-            world.emit("session.end", tid=tid)
-            return "invalidated"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-def iq_batch_invalidate_writer(name, assignments, attempts=3):
-    """Figure 3's invalidate session with one *batched* QaR acquisition.
-
-    The growing phase issues a single ``qar_many`` for the whole
-    write-set -- one announced step, mirroring the one pipelined
-    ``qareg`` round trip of the wire protocol -- instead of one ``qar``
-    step per key.  An ``"abort"`` status (or a zombie-TID
-    :class:`~repro.errors.QuarantinedError` from the router) restarts
-    the session exactly like a per-key reject; keys whose shard was
-    unreachable degrade to post-commit journaling like
-    :func:`sharded_invalidate_writer`.  The batched session must be
-    outcome-equivalent to :func:`iq_invalidate_writer` over every
-    explored schedule -- ``tests/mc`` asserts exactly that.
-    """
-    keys = tuple(assignments)
-
-    def factory(world):
-        backend = world.backend
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:qareg".format(name), kvs=keys)
-            try:
-                statuses = backend.qar_many(tid, keys)
-            except QuarantinedError:
-                statuses = None
-            except CacheUnavailableError:
-                statuses = {key: "unavailable" for key in keys}
-            if statuses is None or "abort" in statuses.values():
-                yield Op("{}:rollback".format(name), sql=True)
-                connection.rollback()
-                connection.close()
-                yield Op("{}:abort".format(name), kvs=keys)
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            degraded = [
-                key for key, status in statuses.items()
-                if status == "unavailable"
-            ]
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            world.emit("session.sql_commit", tid=tid)
-            if degraded:
-                yield Op("{}:journal".format(name), kvs=degraded)
-                backend.journal.add(degraded)
-            yield Op("{}:dar".format(name), kvs=keys)
-            backend.dar(tid)
-            world.emit("session.end", tid=tid)
-            return "invalidated"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-# ---------------------------------------------------------------------------
-# incremental-update (delta) write sessions
-# ---------------------------------------------------------------------------
 
 def _delta_sql_expr(op, operand):
     if op in ("append", "prepend"):
@@ -499,182 +104,410 @@ def _delta_sql_expr(op, operand):
     )
 
 
-def iq_delta_writer(name, deltas, attempts=3):
-    """Figures 7/8's incremental-update session under IQ.
+def _delta_assignments(deltas):
+    """``[(key, op, operand)]`` -> ``{key: set-expression}``."""
+    assignments = {}
+    for key, op, operand in deltas:
+        expr = assignments.get(key, "val")
+        assignments[key] = _delta_sql_expr(op, operand).replace("val", expr, 1)
+    return assignments
 
-    ``deltas`` is a list of ``(key, op, operand)`` -- e.g. ``("k0",
-    "append", b"d")`` or ``("k0", "incr", 1)``.  Each delta's SQL
-    mirror runs in one transaction; ``IQ-delta`` buffers the cache-side
-    change under an exclusive Q lease and ``Commit(TID)`` applies it.
+
+def _sql_body(world, name, assignments, abort=False):
+    """The application's SQL: update ``items`` rows, record the commit.
+
+    With ``abort`` the body fails after its updates -- the aborting
+    writer of Figure 6.
     """
-    keys = tuple(dict.fromkeys(key for key, _, _ in deltas))
 
-    def factory(world):
-        backend = world.backend
-        assignments = {}
-        for key, op, operand in deltas:
-            expr = assignments.get(key, "val")
-            assignments[key] = _delta_sql_expr(op, operand).replace(
-                "val", expr, 1
+    def on_commit():
+        world.record_commit()
+        world.flags["sql_committed:{}".format(name)] = True
+
+    def body(session):
+        for key, expr in assignments.items():
+            session.execute(
+                "UPDATE items SET val = {} WHERE id = ?".format(expr),
+                (world.row_id(key),),
             )
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            rejected = False
-            for key, op, operand in deltas:
-                yield Op("{}:delta:{}".format(name, key), kvs=[key])
-                try:
-                    backend.iq_delta(tid, key, op, operand)
-                except QuarantinedError:
-                    rejected = True
-                    break
-            if rejected:
-                yield Op("{}:rollback".format(name), sql=True)
-                connection.rollback()
-                connection.close()
-                yield Op("{}:abort".format(name), kvs=keys)
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            world.emit("session.sql_commit", tid=tid)
-            yield Op("{}:commit".format(name), kvs=keys)
-            backend.commit(tid)
-            world.emit("session.end", tid=tid)
-            return "committed"
-        return "gave-up"
+        if abort:
+            raise _Abort(name)
+        session.on_commit(on_commit)
 
-    return MCProgram(name, factory)
+    return body
+
+
+def _compute(world, name, key):
+    """A reader's RDBMS query; the value is recorded for fingerprints."""
+
+    def compute():
+        value = world.query_committed(key)
+        world.observe(name, "query", key, value)
+        return _encode(value)
+
+    return compute
+
+
+class _ProgramClient(IQClient):
+    """An IQ client that attributes the TIDs it mints to its program."""
+
+    def __init__(self, world, name, backend, attempts):
+        super().__init__(backend, backoff=NoBackoff(attempts),
+                         clock=world.clock, coalesce_fills=False)
+        self._world = world
+        self._name = name
+
+    def gen_id(self):
+        tid = self.server.gen_id()
+        self._world.bind_tid(self._name, tid)
+        return tid
+
+
+def _tracked(steps, trail):
+    """Re-yield ``steps``, remembering the last announced op's label."""
+    try:
+        op = next(steps)
+        while True:
+            trail[0] = op.label
+            yield op
+            op = next(steps)
+    except StopIteration as stop:
+        return stop.value
 
 
 # ---------------------------------------------------------------------------
-# baseline (unleased) write sessions -- the racy shapes of the figures
+# shipped read sessions
 # ---------------------------------------------------------------------------
 
-def baseline_cas_writer(name, key, expr, compute, attempts=3):
-    """Figure 2's R-M-W with gets/cas instead of leases."""
-
+def _read_program(name, key, make_client, expect=None):
     def factory(world):
-        store = world.backend
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            connection = _sql_update(world, {key: expr})
-            if connection is None:
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            yield Op("{}:kvs-read".format(name), kvs=[key])
-            hit = store.gets(key)
-            if hit is None:
-                return "lost-key"
-            value, _flags, cas_id = hit
-            world.observe(name, "gets", key, value)
-            yield Op("{}:kvs-cas".format(name), kvs=[key])
-            swapped = store.cas(key, _encode(compute(value.decode())), cas_id)
-            return "swapped" if swapped else "cas-failed"
-        return "gave-up"
+        client = make_client(world)
+        if expect is not None:
+            yield from expect(world)
+        trail = [None]
+        try:
+            value = yield from _tracked(
+                client.read_steps(key, _compute(world, name, key)), trail)
+        except StarvationError:
+            return "starved"
+        ending = _READ_ENDINGS[trail[0]]
+        if ending in ("hit", "coalesced"):
+            world.observe(name, "cache", key, value)
+        return ending
 
     return MCProgram(name, factory)
 
 
-def baseline_trigger_invalidator(name, assignments):
-    """Figure 3: delete fired by a trigger *inside* the transaction."""
-    keys = tuple(assignments)
+def iq_reader(name, key, attempts=3, flights=None, expect=False):
+    """The IQ read session (:meth:`_IQClientBase.read_steps`).
 
-    def factory(world):
-        store = world.backend
-        yield Op("{}:sql-update".format(name), sql=True)
-        connection = _sql_update(world, assignments)
-        if connection is None:
-            return "sql-aborted"
-        for key in keys:
-            yield Op("{}:delete:{}".format(name, key), kvs=[key])
-            store.delete(key)
-        yield Op("{}:sql-commit".format(name), sql=True)
-        connection.commit()
-        connection.close()
-        world.record_commit()
-        return "invalidated"
+    ``attempts`` bounds the ``IQget`` polls.  ``flights`` -- one registry
+    shared by the scenario's co-located readers -- turns on miss
+    coalescing; waiters then spend the same budget on flight waits.
 
-    return MCProgram(name, factory)
-
-
-def baseline_dirty_refresher(name, key, expr, value):
-    """Figure 6: refresh the cache pre-commit, then abort the transaction."""
-
-    def factory(world):
-        store = world.backend
-        yield Op("{}:sql-update".format(name), sql=True)
-        connection = _sql_update(world, {key: expr})
-        yield Op("{}:kvs-set".format(name), kvs=[key])
-        store.set(key, _encode(value))
-        yield Op("{}:rollback".format(name), sql=True)
-        if connection is not None:
-            connection.rollback()
-            connection.close()
-        return "aborted"
-
-    return MCProgram(name, factory)
-
-
-def baseline_delta_writer(name, key, op, operand, precommit=True):
-    """Figures 7 (``precommit=True``) and 8 (``False``): unleased delta.
-
-    The KVS-side append/incr either runs inside the transaction (lost on
-    a concurrent miss, Figure 7) or after commit (applied twice on a
-    fresh fill, Figure 8).
+    With ``expect=True`` the program's first step snapshots the
+    committed value -- the freshness baseline for the
+    ``coalesced-stale`` oracle
+    (:func:`repro.mc.scenarios.coalesced_final_checks`).  The snapshot
+    is recorded only when no Q lease is outstanding on ``key``: a
+    pending write session means this read may legally serialize before
+    the writer (Figure 4's rearrangement window), so only reads that
+    began *after* the writer's session fully ended carry the obligation
+    to observe its value.
     """
 
+    def make_client(world):
+        client = _ProgramClient(world, name, world.backend, attempts - 1)
+        client.flights = flights
+        return IQInvalidateClient(client, world.connect, clock=world.clock)
+
+    def snapshot(world):
+        yield Op("expect", kvs=[key], sql=True)
+        _has_i, q_holders = world.backend.leases.leases_on(key)
+        if not q_holders:
+            world.observe(name, "expect", key, world.query_committed(key))
+
+    return _read_program(name, key, make_client, snapshot if expect else None)
+
+
+def baseline_reader(name, key, attempts=3):
+    """The Facebook read-lease reader of the unleased baseline."""
+    return _read_program(name, key, lambda world: BaselineInvalidateClient(
+        world.backend, world.connect, backoff=NoBackoff(attempts - 1),
+        clock=world.clock))
+
+
+def clock_reader(name, key, commit_clock=None):
+    """The precise-clock read session (:meth:`ClockClient.read_steps`).
+
+    The promise is announced as a SQL-side step (it reads and mutates
+    the commit clock under the transaction-manager mutex) and the
+    ``cget`` as a KVS step, so the explorer interleaves a writer's
+    commit in between -- exactly the window the commit's clock jump must
+    cover.  The client-local interval tier and fill coalescing are off
+    (the world models the shared cache), so the session never backs
+    off.  ``commit_clock(world)`` substitutes the client's commit clock
+    (see :class:`GuessingClock`).
+    """
+
+    def make_client(world):
+        client = ClockClient(
+            world.backend, world.connect, clock=world.clock,
+            config=ClockConfig(local_cache_entries=0), coalesce_fills=False)
+        if commit_clock is not None:
+            client.commit_clock = commit_clock(world)
+        return client
+
+    return _read_program(name, key, make_client)
+
+
+# ---------------------------------------------------------------------------
+# shipped write sessions
+# ---------------------------------------------------------------------------
+
+def _write_program(name, make_client, assignments, make_changes, attempts,
+                   abort=False):
     def factory(world):
-        store = world.backend
-        operand_bytes = (
-            operand if isinstance(operand, bytes) else _encode(operand)
-        )
-        yield Op("{}:sql-update".format(name), sql=True)
-        connection = _sql_update(world, {key: _delta_sql_expr(op, operand)})
-        if connection is None:
+        client = make_client(world, attempts)
+        body = _sql_body(world, name, assignments, abort=abort)
+        try:
+            yield from client.write_steps(body, make_changes(world))
+        except StarvationError:
+            return "gave-up"
+        except _Abort:
+            return "aborted"
+        except TransactionAbortedError:
             return "sql-aborted"
-        if precommit:
-            yield Op("{}:kvs-delta".format(name), kvs=[key])
-            _apply_store_delta(store, key, op, operand_bytes)
-        yield Op("{}:sql-commit".format(name), sql=True)
-        connection.commit()
-        connection.close()
-        world.record_commit()
-        if not precommit:
-            yield Op("{}:kvs-delta".format(name), kvs=[key])
-            _apply_store_delta(store, key, op, operand_bytes)
         return "committed"
 
     return MCProgram(name, factory)
 
 
-def _apply_store_delta(store, key, op, operand_bytes):
-    if op == "append":
-        return store.append(key, operand_bytes)
-    if op == "prepend":
-        return store.prepend(key, operand_bytes)
-    if op == "incr":
-        return store.incr(key, int(operand_bytes))
-    return store.decr(key, int(operand_bytes))
+def _invalidations(assignments):
+    return lambda world: [KeyChange(key) for key in assignments]
+
+
+def _refreshes(name, key, compute, kind):
+    """One refresher per world: records the old value it is handed."""
+
+    def make_changes(world):
+        def refresher(old):
+            world.observe(name, kind, key, old)
+            return None if old is None else _encode(compute(int(old)))
+
+        return [KeyChange(key, refresher=refresher)]
+
+    return make_changes
+
+
+def _iq_client(cls, name, mode, backend=None, **options):
+    def make(world, attempts):
+        client = _ProgramClient(
+            world, name,
+            backend(world.backend) if backend else world.backend, 0)
+        return cls(client, world.connect, mode=mode,
+                   backoff=NoBackoff(attempts - 1), clock=world.clock,
+                   **options)
+
+    return make
+
+
+def iq_invalidate_writer(name, assignments, attempts=3,
+                         mode=AcquisitionMode.DURING, batch=False,
+                         backend=None):
+    """Figure 3's invalidate session (:class:`IQInvalidateClient`).
+
+    ``assignments`` maps key -> SQL set-expression, all updated in one
+    transaction.  ``batch`` acquires a multi-key write-set with one
+    ``qareg`` step instead of per-key ``qar`` steps; ``backend`` wraps
+    the world's backend (a substitution such as :class:`JournalAtFailure`).
+    """
+    return _write_program(
+        name, _iq_client(IQInvalidateClient, name, mode, backend,
+                         batch_leases=batch),
+        assignments, _invalidations(assignments), attempts)
+
+
+def iq_refresh_writer(name, key, expr, compute, attempts=3,
+                      mode=AcquisitionMode.PRIOR, abort=False):
+    """Figure 2's R-M-W session (:class:`IQRefreshClient`).
+
+    ``compute`` maps the QaRead'd old value (an ``int``) to the new one;
+    like BG's refreshers, a cold key (nothing to QaRead) yields no new
+    value, and SaR releases the lease without installing.  ``abort``
+    makes the SQL body fail after its update -- Figure 6's aborting
+    writer, which ``Abort(TID)`` must clean up.
+    """
+    return _write_program(
+        name, _iq_client(IQRefreshClient, name, mode), {key: expr},
+        _refreshes(name, key, compute, "qaread"), attempts, abort=abort)
+
+
+def iq_delta_writer(name, deltas, attempts=3, mode=AcquisitionMode.DURING,
+                    backend=None):
+    """Figures 7/8's incremental-update session (:class:`IQDeltaClient`).
+
+    ``deltas`` is a list of ``(key, op, operand)``; each key's deltas
+    form one :class:`KeyChange` and the SQL mirror of all of them runs
+    in one transaction.
+    """
+    by_key = {}
+    for key, op, operand in deltas:
+        by_key.setdefault(key, []).append((op, operand))
+    return _write_program(
+        name, _iq_client(IQDeltaClient, name, mode, backend),
+        _delta_assignments(deltas),
+        lambda world: [KeyChange(key, deltas=ops)
+                       for key, ops in by_key.items()],
+        attempts)
+
+
+def _baseline_client(cls, **options):
+    return lambda world, attempts: cls(world.backend, world.connect,
+                                       clock=world.clock, **options)
+
+
+def baseline_trigger_invalidator(name, assignments):
+    """Figure 3: the unleased invalidate, deleted by a trigger inside the
+    transaction (:class:`BaselineInvalidateClient`)."""
+    return _write_program(
+        name, _baseline_client(BaselineInvalidateClient), assignments,
+        _invalidations(assignments), 1)
+
+
+def baseline_cas_writer(name, key, expr, compute):
+    """Figure 2's R-M-W with gets/cas after commit
+    (:class:`BaselineRefreshClient`, one cas attempt)."""
+    return _write_program(
+        name, _baseline_client(BaselineRefreshClient, cas_retries=1),
+        {key: expr}, _refreshes(name, key, compute, "gets"), 1)
+
+
+def baseline_delta_writer(name, key, op, operand):
+    """Figure 8: the unleased delta applied after commit
+    (:class:`BaselineDeltaClient`)."""
+    operand = operand if isinstance(operand, bytes) else _encode(operand)
+    return _write_program(
+        name, _baseline_client(BaselineDeltaClient),
+        _delta_assignments([(key, op, operand)]),
+        lambda world: [KeyChange(key, deltas=[(op, operand)])], 1)
+
+
+def clock_writer(name, assignments, attempts=3, abort=False):
+    """The precise-clock write (:class:`ClockClient`): the SQL body,
+    then a commit naming the keys in ``clock_keys`` -- zero cache steps.
+    ``abort`` makes the body fail before commit (Figure 6)."""
+
+    def make_client(world, attempts):
+        return ClockClient(
+            world.backend, world.connect, backoff=NoBackoff(attempts - 1),
+            clock=world.clock, config=ClockConfig(local_cache_entries=0),
+            coalesce_fills=False)
+
+    return _write_program(
+        name, make_client, assignments, _invalidations(assignments),
+        attempts, abort=abort)
 
 
 # ---------------------------------------------------------------------------
-# fault delivery as a schedule step
+# unsafe controls, as substitutions
 # ---------------------------------------------------------------------------
+
+class _Proxy:
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+
+class JournalAtFailure(_Proxy):
+    """A backend that journals a key the moment its ``qar`` fails --
+    before the session's RDBMS transaction commits."""
+
+    def qar(self, tid, key):
+        try:
+            return self._backend.qar(tid, key)
+        except CacheUnavailableError:
+            self._backend.journal.add([key])
+            raise
+
+
+class WithoutPoison(_Proxy):
+    """A sharded backend without the ``poison`` marker: a failed delta
+    proposal's leg commits whatever subset of deltas got through."""
+
+    def __getattr__(self, name):
+        if name == "poison":
+            raise AttributeError(name)
+        return super().__getattr__(name)
+
+
+class GuessingClock(CommitClock):
+    """A commit clock that sizes ``[now, now + guess)`` without
+    registering a write horizon, so a clock-keyed commit advances the
+    key's clock by one tick instead of jumping past the interval."""
+
+    def __init__(self, db, guess=8):
+        super().__init__(db)
+        self.guess = guess
+
+    def promise(self, key, ticks=None):
+        now = self.now_of(key)
+        return now, now + self.guess
+
+
+# ---------------------------------------------------------------------------
+# programs no shipped client runs
+# ---------------------------------------------------------------------------
+
+def dirty_refresher(name, key, expr, value):
+    """Figure 6's control: refresh the cache pre-commit, then abort.
+
+    No shipped client writes the cache before its commit; this program
+    stays here to show the checker finds the dirty read it causes.
+    """
+
+    def factory(world):
+        def set_dirty():
+            yield Op("kvs-set", kvs=[key])
+            world.backend.set(key, _encode(value))
+
+        try:
+            yield from transaction_steps(
+                world.connect, _sql_body(world, name, {key: expr}, abort=True),
+                trigger=set_dirty)
+        except _Abort:
+            return "aborted"
+
+    return MCProgram(name, factory)
+
+
+def precommit_delta_writer(name, key, op, operand):
+    """Figure 7's control: the unleased delta applied inside the
+    transaction, where a concurrent miss loses it.
+
+    :class:`BaselineDeltaClient` applies deltas after commit (Figure 8);
+    no shipped client applies them before, so this program stays here.
+    """
+    operand = operand if isinstance(operand, bytes) else _encode(operand)
+
+    def factory(world):
+        def apply_delta():
+            yield Op("kvs-delta", kvs=[key])
+            getattr(world.backend, op)(key, operand)
+
+        body = _sql_body(world, name,
+                         _delta_assignments([(key, op, operand)]))
+        try:
+            yield from transaction_steps(world.connect, body,
+                                         trigger=apply_delta)
+        except TransactionAbortedError:
+            return "sql-aborted"
+        return "committed"
+
+    return MCProgram(name, factory)
+
 
 def fault_program(name, label, action, keys):
     """A one-step pseudo-program that delivers a fault.
@@ -683,167 +516,33 @@ def fault_program(name, label, action, keys):
     rule, gate a shard, expire leases); ``keys`` is the set of keys whose
     cache state the fault can affect, i.e. the op's write footprint --
     that is what lets DPOR treat fault delivery like any other
-    conflicting operation.
+    conflicting operation.  Faults are environment events, not sessions,
+    so no shipped client runs them.
     """
 
     def factory(world):
-        yield Op("{}:{}".format(name, label), kvs=keys)
+        yield Op(label, kvs=keys)
         action(world)
         return "delivered"
 
     return MCProgram(name, factory)
 
 
-# ---------------------------------------------------------------------------
-# sharded sessions with degraded-mode client policies (PR 2 semantics)
-# ---------------------------------------------------------------------------
-
-def sharded_invalidate_writer(name, assignments, journal_timing="post",
-                              attempts=3):
-    """Invalidate across shards, journaling keys whose shard is down.
-
-    With ``journal_timing="post"`` (the reviewed PR 2 semantics) a key
-    whose growing-phase ``QaR`` found its shard unreachable is journaled
-    only *after* the RDBMS commit; ``"pre"`` reproduces the rejected
-    behaviour -- journaling at failure time, before the transaction
-    commits -- which the checker must flag (a reconciler can consume the
-    entry and delete the key while the transaction can still abort or,
-    worse, before readers can even observe the new value, reopening the
-    Figure 3 window).
-    """
-    keys = tuple(assignments)
-
-    def factory(world):
-        backend = world.backend
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            rejected = False
-            degraded = []
-            for key in keys:
-                yield Op("{}:qar:{}".format(name, key), kvs=[key])
-                try:
-                    backend.qar(tid, key)
-                except QuarantinedError:
-                    rejected = True
-                    break
-                except CacheUnavailableError:
-                    degraded.append(key)
-                    if journal_timing == "pre":
-                        backend.journal.add([key])
-            if rejected:
-                yield Op("{}:rollback".format(name), sql=True)
-                connection.rollback()
-                connection.close()
-                yield Op("{}:abort".format(name), kvs=keys)
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            world.emit("session.sql_commit", tid=tid)
-            if degraded and journal_timing == "post":
-                yield Op("{}:journal".format(name), kvs=degraded)
-                backend.journal.add(degraded)
-            yield Op("{}:dar".format(name), kvs=keys)
-            backend.dar(tid)
-            world.emit("session.end", tid=tid)
-            return "invalidated"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-def sharded_delta_writer(name, deltas, poison=True, attempts=3):
-    """Delta across shards; a failed proposal poisons its key's leg.
-
-    With ``poison=True`` (the reviewed PR 2 semantics) an ``iq_delta``
-    that found its shard unreachable marks the key poisoned, so
-    ``Commit(TID)`` aborts that shard leg -- deleting the key instead of
-    applying a *partial* delta list.  ``poison=False`` reproduces the
-    rejected behaviour: the leg commits whatever subset of deltas made
-    it through, which the checker must flag as a stale final value.
-    """
-    keys = tuple(dict.fromkeys(key for key, _, _ in deltas))
-
-    def factory(world):
-        backend = world.backend
-        assignments = {}
-        for key, op, operand in deltas:
-            expr = assignments.get(key, "val")
-            assignments[key] = _delta_sql_expr(op, operand).replace(
-                "val", expr, 1
-            )
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            tid = backend.gen_id()
-            world.bind_tid(name, tid)
-            world.emit("session.begin", tid=tid)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            rejected = False
-            for key, op, operand in deltas:
-                yield Op("{}:delta:{}".format(name, key), kvs=[key])
-                try:
-                    backend.iq_delta(tid, key, op, operand)
-                except QuarantinedError:
-                    rejected = True
-                    break
-                except CacheUnavailableError:
-                    if poison:
-                        backend.poison(tid, key)
-            if rejected:
-                yield Op("{}:rollback".format(name), sql=True)
-                connection.rollback()
-                connection.close()
-                yield Op("{}:abort".format(name), kvs=keys)
-                backend.abort(tid)
-                world.emit("session.end", tid=tid)
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit()
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            world.emit("session.sql_commit", tid=tid)
-            yield Op("{}:commit".format(name), kvs=keys)
-            backend.commit(tid)
-            world.emit("session.end", tid=tid)
-            return "committed"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
 def reconciler(name, rounds=1):
-    """Drain the sharded router's local journal (one pass per step)."""
+    """Drain the sharded router's local journal (one pass per step).
+
+    Delete-on-recover is a background duty of the router, not a client
+    session, so the checker schedules it as its own program.
+    """
 
     def factory(world):
-        backend = world.backend
         for _ in range(rounds):
-            yield Op("{}:reconcile".format(name), kvs=world.keys)
-            backend.reconcile_local()
+            yield Op("reconcile", kvs=world.keys)
+            world.backend.reconcile_local()
         return "reconciled"
 
     return MCProgram(name, factory)
 
-
-# ---------------------------------------------------------------------------
-# topology migration as announced schedule steps
-# ---------------------------------------------------------------------------
 
 def migration_program(name, plan):
     """Drive a :class:`~repro.sharding.Rebalancer` step sequence.
@@ -855,14 +554,12 @@ def migration_program(name, plan):
             reb = Rebalancer(world.backend, quarantine_attempts=2)
             return reb, reb.steps_add("shard2", world.spare_gates["shard2"])
 
-    Every yielded :class:`~repro.sharding.MigrationStep` becomes one
-    announced :class:`Op` whose footprint is the step's key list; a
-    ``None`` footprint (begin / flip, which re-route *every* key) widens
-    to the scenario's whole key universe.  Migration TIDs are aliased to
-    this program per source shard, so lease fingerprints stay
-    schedule-independent.  The rebalancer's own step functions absorb
-    ``QuarantinedError`` / ``CacheUnavailableError`` (retry, drop,
-    journal), so the program terminates in every interleaving.
+    The rebalancer already exposes its migration as steps; every
+    :class:`~repro.sharding.MigrationStep` becomes one announced
+    :class:`Op` whose footprint is the step's key list (``None`` -- begin
+    / flip, which re-route *every* key -- widens to the whole key
+    universe).  Migration TIDs are aliased to this program per source
+    shard, so lease fingerprints stay schedule-independent.
     """
 
     def factory(world):
@@ -872,145 +569,8 @@ def migration_program(name, plan):
         )
         for step in steps:
             keys = world.keys if step.keys is None else tuple(step.keys)
-            yield Op("{}:{}".format(name, step.label), kvs=keys)
+            yield Op(step.label, kvs=keys)
             step.run()
         return "migrated" if rebalancer.report.completed else "incomplete"
-
-    return MCProgram(name, factory)
-
-
-# ---------------------------------------------------------------------------
-# precise-clock sessions (repro.clock; lease-free)
-# ---------------------------------------------------------------------------
-
-def clock_reader(name, key, attempts=2, ticks=None):
-    """Precise-clock read: promise a write horizon, then ``cget``.
-
-    The promise is announced as a *SQL-side* step (it reads and mutates
-    the commit clock under the transaction-manager mutex) and the
-    ``cget`` as a KVS step, so the explorer interleaves a writer's
-    commit in between -- exactly the window the commit's clock jump must
-    cover.  A hit serves without ever touching the lease table; a miss
-    fills with a ``cset`` stamped by the promise; an interval expiry
-    (self-invalidation) retries, re-promising for the fresh value.
-    """
-
-    def factory(world):
-        backend = world.backend
-        commit_clock = world.db.commit_clock
-        for _ in range(attempts):
-            yield Op("{}:promise".format(name), sql=True)
-            start, until = commit_clock.promise(key, ticks=ticks)
-            yield Op("{}:cget".format(name), kvs=[key])
-            try:
-                result = backend.cget(key, start, extend=until)
-            except CacheUnavailableError:
-                yield Op("{}:db-read".format(name), sql=True)
-                world.observe(name, "db", key, world.query_committed(key))
-                return "degraded"
-            if result.is_hit:
-                world.observe(name, "cache", key, result.value)
-                return "hit"
-            if result.expired:
-                continue  # self-invalidated: re-promise for the new value
-            yield Op("{}:fill-query".format(name), sql=True)
-            value = world.query_committed(key)
-            world.observe(name, "query", key, value)
-            yield Op("{}:cset".format(name), kvs=[key])
-            try:
-                stored = backend.cset(key, _encode(value), start, until)
-            except CacheUnavailableError:
-                return "degraded"
-            if stored:
-                world.observe(name, "fill", key, value)
-            return "filled" if stored else "fill-ignored"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-def clock_writer(name, assignments, attempts=3):
-    """Precise-clock write: the SQL body, then commit with ``clock_keys``.
-
-    Zero cache steps -- the commit's clock jump past every promised
-    horizon for the written keys is the invalidation: any cached
-    interval covering those keys has expired by the time the new value
-    is visible.  First-updater-wins aborts retry like every other
-    writer.
-    """
-    keys = tuple(assignments)
-
-    def factory(world):
-        for _ in range(attempts):
-            yield Op("{}:sql-update".format(name), sql=True)
-            connection = _sql_update(world, assignments)
-            if connection is None:
-                continue
-            yield Op("{}:sql-commit".format(name), sql=True)
-            connection.commit(clock_keys=keys)
-            connection.close()
-            world.record_commit()
-            world.flags["sql_committed:{}".format(name)] = True
-            return "committed"
-        return "gave-up"
-
-    return MCProgram(name, factory)
-
-
-def clock_abort_writer(name, assignments):
-    """Figure 6's aborting writer under precise clocks.
-
-    Rolls the RDBMS transaction back before commit.  There is nothing
-    else to undo: no lease was taken, no cache value touched, and the
-    clock never moved -- the uncommitted value simply never existed
-    outside the aborted snapshot.
-    """
-
-    def factory(world):
-        yield Op("{}:sql-update".format(name), sql=True)
-        connection = _sql_update(world, assignments)
-        yield Op("{}:rollback".format(name), sql=True)
-        if connection is not None:
-            connection.rollback()
-            connection.close()
-        return "aborted"
-
-    return MCProgram(name, factory)
-
-
-def naive_clock_reader(name, key, guess=8, attempts=2):
-    """The rejected mis-sized variant: a guessed interval, no promise.
-
-    Reads the key's clock and stamps ``[now, now + guess)`` without
-    registering a write horizon, so a concurrent clock-keyed commit
-    advances the key's clock by a single tick instead of jumping past
-    the bound -- and a later read inside the guessed window is served
-    the stale value.  ``tests/mc`` proves the checker finds that
-    schedule (the precise-clock analogue of ``rebalance-unquarantined``).
-    """
-
-    def factory(world):
-        backend = world.backend
-        txmanager = world.db.txmanager
-        for _ in range(attempts):
-            yield Op("{}:clock-read".format(name), sql=True)
-            start = txmanager.key_clock(key)
-            until = start + guess
-            yield Op("{}:cget".format(name), kvs=[key])
-            result = backend.cget(key, start)
-            if result.is_hit:
-                world.observe(name, "cache", key, result.value)
-                return "hit"
-            if result.expired:
-                continue
-            yield Op("{}:fill-query".format(name), sql=True)
-            value = world.query_committed(key)
-            world.observe(name, "query", key, value)
-            yield Op("{}:cset".format(name), kvs=[key])
-            stored = backend.cset(key, _encode(value), start, until)
-            if stored:
-                world.observe(name, "fill", key, value)
-            return "filled" if stored else "fill-ignored"
-        return "gave-up"
 
     return MCProgram(name, factory)

@@ -13,8 +13,9 @@ the schedule runs out are drained round-robin in program order, see
 :func:`repro.mc.explorer.replay`), so every subsequence denotes a full,
 deterministic execution.  The minimal schedule is therefore read as:
 "force exactly these steps in this order; let everything else run to
-completion" -- which is exactly the shape of the hand-written
-``repro.sim`` figure scripts, and :func:`emit_script` renders it as one.
+completion" -- the same shape as the stored figure schedules of
+:mod:`repro.mc.figures`, and :func:`emit_script` renders it as a
+runnable script.
 """
 
 from repro.mc.explorer import replay
@@ -106,11 +107,11 @@ def shrink(scenario, schedule):
 
 
 def emit_script(result):
-    """Render a :class:`ShrinkResult` as a replayable repro.sim-style script.
+    """Render a :class:`ShrinkResult` as a replayable script.
 
     The output is an executable Python snippet plus a step-by-step
-    comment timeline (program -> announced step label), mirroring the
-    numbered interleavings of ``repro.sim.scripts``.
+    comment timeline (program -> announced step label), like the
+    numbered interleavings of the paper's figures.
     """
     lines = [
         "# Minimal violating schedule for scenario {!r}".format(

@@ -11,7 +11,8 @@ reads, per-program flags).
 
 **Fingerprints.**  :meth:`World.fingerprint` summarizes the shared state
 -- committed SQL rows, per-shard KVS contents, lease tables, server-side
-session state, journals, fault state, observations -- normalized so that
+session state, journals, fault state, co-located readers' flight
+registries (:class:`WorldFlights`), observations -- normalized so that
 incidental identifiers (TIDs, lease token numbers) minted in different
 orders by equivalent schedules cannot distinguish equivalent states.
 TIDs are rewritten to the *program names* that own them via
@@ -34,6 +35,7 @@ hook sites.
 
 from repro.config import LeaseConfig
 from repro.core.iq_server import IQServer
+from repro.core.singleflight import Flight, SingleFlight
 from repro.errors import CacheUnavailableError
 from repro.faults.injector import (
     SITE_LEASE_VOID,
@@ -48,7 +50,7 @@ from repro.sharding import ShardedIQServer
 from repro.sql.engine import Database
 from repro.util.clock import LogicalClock
 
-__all__ = ["World", "GatedShard"]
+__all__ = ["World", "GatedShard", "WorldFlights"]
 
 
 class GatedShard:
@@ -106,6 +108,49 @@ class GatedShard:
     def fault_state(self):
         return (self.down, tuple(sorted(self.fail_after.items())),
                 tuple(sorted(self._calls.items())))
+
+
+class _UnfencedFlight(Flight):
+    __slots__ = ()
+
+    def resolve(self, outcome):
+        if outcome is not None:
+            outcome.applied = True
+        super().resolve(outcome)
+
+
+class WorldFlights(SingleFlight):
+    """A flight registry shared by a scenario's co-located readers.
+
+    The real :class:`~repro.core.singleflight.SingleFlight`, plus a
+    record of which program began each flight so the world fingerprint
+    distinguishes states that differ only in flight state.  With
+    ``fenced=False`` it is the rejected control: every outcome claims
+    the applied fence, so a waiter consumes a refused install.
+    """
+
+    def __init__(self, world, fenced=True):
+        super().__init__()
+        self._world = world
+        self._flight_class = Flight if fenced else _UnfencedFlight
+        #: (owner program, key, flight) in creation order
+        self._created = []
+
+    def begin(self, key):
+        flight = self._flight_class()
+        self._created.append((self._world.current, key, flight))
+        with self._lock:
+            self._flights[key] = flight
+        return flight
+
+    def snapshot(self):
+        registered = set(map(id, self._flights.values()))
+        return tuple(sorted((
+            (owner, key, id(flight) in registered, flight.resolved,
+             None if flight.outcome is None else (
+                 bytes(flight.outcome.value), flight.outcome.applied))
+            for owner, key, flight in self._created
+        ), key=lambda entry: entry[:2]))
 
 
 class World:
@@ -177,6 +222,9 @@ class World:
         self.committed_history = {}
         #: free-form per-scenario flags (e.g. "sql_committed:W1")
         self.flags = {}
+        #: the program whose step is executing (set by the explorer)
+        self.current = None
+        self._flight_registries = []
         #: (server name, tid) -> owning program name.  Keyed per server
         #: because every shard mints TIDs from its own generator, so the
         #: raw integers collide across shards.
@@ -289,6 +337,12 @@ class World:
 
     # -- program bookkeeping ---------------------------------------------------
 
+    def flights(self, fenced=True):
+        """A fresh :class:`WorldFlights` registry for co-located readers."""
+        registry = WorldFlights(self, fenced=fenced)
+        self._flight_registries.append(registry)
+        return registry
+
     def new_trace_id(self, program):
         trace_id = self._tracer.new_trace()
         self._trace_ids[program] = trace_id
@@ -343,11 +397,6 @@ class World:
                 if kind == "cache":
                     reads.append((name, key, value))
         return reads
-
-    def emit(self, name, **fields):
-        """Emit a trace event (session.begin / session.sql_commit / ...)."""
-        if self._tracer.active:
-            self._tracer.emit(name, **fields)
 
     # -- state snapshots -------------------------------------------------------
 
@@ -557,4 +606,6 @@ class World:
             fault_state,
             round(self.clock.now(), 6),
             self._clock_snapshot(),
+            tuple(registry.snapshot()
+                  for registry in self._flight_registries),
         )

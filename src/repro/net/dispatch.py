@@ -216,7 +216,7 @@ def _h_abort(iq, args, data):
     return b"OK"
 
 
-# -- precise-clock extensions (repro.clock) ----------------------------------
+# -- precise-clock extensions (ClockClient, repro.sql.clock) ---------------
 
 def _h_cget(iq, args, data):
     extend = int(args[2]) if len(args) > 2 else None

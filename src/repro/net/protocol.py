@@ -20,7 +20,7 @@ Extension command grammar (server replies in parentheses)::
     commit <tid>                             (OK)
     abort <tid>                              (OK)
 
-Precise-clock commands (lease-free reads, ``repro.clock``)::
+Precise-clock commands (lease-free reads, ``ClockClient``)::
 
     cget <key> <now> [<extend>]        (CVALUE <key> <flags> <start> <until>
                                         <nbytes> + data, terminated by END

@@ -47,8 +47,8 @@ def _auto_refresh():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 100)
     return world, [
-        iq_refresh_writer("W", "k0", "val + 50",
-                          lambda old: int(old) + 50, attempts=3),
+        iq_refresh_writer("W", "k0", "val + 50", lambda old: old + 50,
+                          attempts=3),
         iq_reader("R", "k0", attempts=3),
     ]
 
@@ -67,7 +67,7 @@ def _auto_clock():
     world.seed_db_only("k0", 100)
     return world, [
         clock_writer("W", {"k0": "val + 50"}, attempts=2),
-        clock_reader("R", "k0", attempts=2),
+        clock_reader("R", "k0"),
     ]
 
 

@@ -204,71 +204,33 @@ class TestRunner:
 
 
 class TestNoStaleDataExhaustive:
-    def test_reader_vs_two_transaction_writer(self, clock):
-        """Enumerate reader/two-txn-writer interleavings: never stale."""
-        from repro.core.iq_server import IQServer
-        from repro.sim.scheduler import (
-            Interleaver, Program, all_interleavings,
-        )
-        from repro.sql.engine import Database
+    def test_reader_vs_two_transaction_writer(self):
+        """Explore every reader/two-txn-writer interleaving: never stale."""
+        from repro.mc import MCProgram, Op, Scenario, World, explore
+        from repro.mc.sessions import iq_reader
 
-        def run_once(schedule):
-            db = Database()
-            setup = db.connect()
-            setup.execute(
-                "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)"
-            )
-            setup.execute("INSERT INTO t (id, v) VALUES (1, 0)")
-            setup.close()
-            server = IQServer()
-            server.store.set("k", b"0")
-            iq_client = IQClient(server, backoff=NoBackoff())
-
-            def writer():
-                session = MultiTransactionSession(iq_client, db.connect)
-                old = session.qaread("k")
-                yield "w:qaread"
+        def writer(world):
+            yield Op("qaread", kvs=["k0"])
+            session = MultiTransactionSession(
+                IQClient(world.backend), world.connect)
+            world.bind_tid("W", session.tid)
+            old = session.qaread("k0")
+            world.observe("W", "qaread", "k0", old)
+            for step in ("txn1", "txn2"):
+                yield Op(step, sql=True)
                 with session.transaction() as txn:
-                    txn.execute("UPDATE t SET v = v + 1 WHERE id = 1")
-                yield "w:txn1"
-                with session.transaction() as txn:
-                    txn.execute("UPDATE t SET v = v + 1 WHERE id = 1")
-                yield "w:txn2"
-                session.sar_at_commit("k", str(int(old) + 2).encode())
-                session.commit()
-                yield "w:commit"
+                    txn.execute("UPDATE items SET val = val + 1 WHERE id = 1")
+                world.record_commit()
+            yield Op("commit", kvs=["k0"])
+            session.sar_at_commit("k0", str(int(old) + 2).encode())
+            session.commit()
 
-            def reader():
-                for _ in range(20):
-                    result = server.iq_get("k")
-                    if result.is_hit:
-                        return int(result.value)
-                    if result.backoff:
-                        yield "r:backoff"
-                        continue
-                    yield "r:lease"
-                    connection = db.connect()
-                    value = connection.query_scalar(
-                        "SELECT v FROM t WHERE id = 1"
-                    )
-                    connection.close()
-                    yield "r:query"
-                    server.iq_set("k", str(value).encode(), result.token)
-                    yield "r:set"
-                    return value
-                raise AssertionError("no convergence")
+        def build():
+            world = World(keys=("k0",))
+            world.seed("k0", 0)
+            return world, [MCProgram("W", writer),
+                           iq_reader("R", "k0", attempts=6)]
 
-            interleaver = Interleaver(
-                [Program("W", writer), Program("R", reader)]
-            )
-            interleaver.run(schedule, finish_remaining=True, strict=False)
-            cached = server.store.get("k")
-            connection = db.connect()
-            final = connection.query_scalar("SELECT v FROM t WHERE id = 1")
-            connection.close()
-            return final, None if cached is None else int(cached[0])
-
-        for schedule in all_interleavings({"W": 4, "R": 5}):
-            final, cached = run_once(schedule)
-            assert final == 2
-            assert cached in (None, 2), (schedule, cached)
+        report = explore(Scenario("multi-txn", build), max_states=200000)
+        assert report.ok, [v.messages for v in report.violations]
+        assert report.schedules_explored > 1

@@ -10,6 +10,7 @@ actually did work.
 import pytest
 
 from repro.mc import MCViolation, Op, explore, get_scenario, independent, replay
+from repro.mc.scenarios import Scenario, default_final_checks
 
 pytestmark = pytest.mark.mc
 
@@ -43,6 +44,36 @@ class TestMixesAreClean:
         assert report.ok, [v.messages for v in report.violations]
 
 
+class TestAcquisitionModes:
+    """Both acquisition orders of the shipped write sessions; DURING is
+    the order BG runs."""
+
+    @pytest.mark.parametrize("name", [
+        "fig2-iq-during", "mix3-inv-refresh-read-during",
+        "fig3-iq-prior", "fig7-iq-prior",
+    ])
+    def test_explores_clean(self, name):
+        report = explore(get_scenario(name), max_states=200000)
+        print(report.summary())
+        assert report.ok, [v.messages for v in report.violations]
+
+    def test_refresh_cold_key_release_path_is_explored(self):
+        # After the invalidate deletes k0, the DURING refresh writer's
+        # QaRead finds it cold: its refresher yields nothing and SaR
+        # releases the lease without installing a value.
+        base = get_scenario("mix3-inv-refresh-read-during")
+        cold = []
+
+        def collect(world, runs):
+            if ("qaread", "k0", None) in world.observations.get("ref", []):
+                cold.append(world.kvs_contents()["k0"])
+            return default_final_checks(world, runs)
+
+        report = explore(Scenario("cold-probe", base.build,
+                                  check_final=collect), max_states=200000)
+        assert report.ok and cold
+
+
 class TestFaultScenarios:
     def test_suppressed_void_found_and_audited(self):
         # The armed SUPPRESS rule at the lease-void site must be found as
@@ -68,7 +99,9 @@ class TestReplay:
             complete=True,
         )
         assert not result.ok
-        assert ("S1", "S1:sql-update") == result.steps[0]
+        # The trigger's delete is the writer's first step; the reader
+        # fills the pre-commit snapshot before the commit lands.
+        assert ("S1", "S1:delete:k0") == result.steps[0]
         assert result.world.sql_contents()["k0"] == 1
 
     def test_lenient_replay_skips_finished_programs(self):

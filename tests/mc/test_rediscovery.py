@@ -1,10 +1,10 @@
 """The checker must *rediscover* the paper's six figure races.
 
-The scripted reproductions in ``repro.sim.scripts`` encode the exact
-interleaving of each figure by hand.  Here the model checker gets only
-the session programs -- no schedule -- and must find each race on its
-own, then prove the IQ counterpart clean over the same bounded space,
-and shrink every baseline violation to a minimal replayable script.
+The figure replays (:mod:`repro.mc.figures`) store the exact
+interleaving of each figure.  Here the model checker gets only the
+session programs -- no schedule -- and must find each race on its own,
+then prove the IQ counterpart clean over the same bounded space, and
+shrink every baseline violation to a minimal replayable script.
 """
 
 import pytest

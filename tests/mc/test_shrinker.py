@@ -63,7 +63,9 @@ class TestCleanInputIsNotShrunk:
 
 class TestEmittedScript:
     def test_script_lists_forced_and_drain_steps(self):
-        _scenario, result = _shrunk("fig3-baseline")
+        # Figure 8's race needs forced steps (the shipped trigger
+        # invalidator of Figure 3 now races in the plain drain order).
+        _scenario, result = _shrunk("fig8-baseline")
         script = emit_script(result)
         assert "[forced]" in script
         assert "[drain ]" in script
